@@ -12,22 +12,10 @@ on a small configuration.
 
 import time
 
-from zerommt import decoding, model, synthcorpus, training
+from zerommt import model, synthcorpus, training
 from zerommt import evaluation as ev
 
 GAMMAS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
-
-
-def generation_bleu(base, mm, examples, gamma):
-    hyps, refs = [], []
-    for ex in examples:
-        if gamma == 1.0:
-            hyp = decoding.beam_search(mm, ex.src, image=ex.image)
-        else:
-            hyp = decoding.cfg_beam_search(base, mm, ex.src, ex.image, gamma)
-        hyps.append(list(hyp.tokens))
-        refs.append(ex.tgt[1:-1])
-    return ev.bleu(hyps, refs)
 
 
 def main() -> None:
@@ -55,17 +43,12 @@ def main() -> None:
     )
     print(f"setup done in {time.time() - t0:.0f}s\n")
 
-    text_scorer = ev.TextOnlyScorer(base)
-    mm_scorer = ev.MultimodalScorer(result.params)
     print(f"{'gamma':>6} {'contrastive':>12} {'bleu':>8}")
     for gamma in GAMMAS:
-        if gamma == 1.0:
-            scorer = mm_scorer
-        else:
-            scorer = ev.CfgScorer(text_scorer, mm_scorer, gamma)
-        acc = ev.commute_accuracy(scorer, splits.test_contrastive)
-        bleu = generation_bleu(base, result.params, splits.test_translation,
-                               gamma)
+        acc = ev.commute_accuracy(ev.make_scorer(base, result.params, gamma),
+                                  splits.test_contrastive)
+        bleu = ev.translation_bleu(base, result.params,
+                                   splits.test_translation, gamma)
         print(f"{gamma:>6.1f} {acc:>12.2f} {bleu:>8.2f}")
     print(f"\ntotal {time.time() - t0:.0f}s")
 

@@ -42,8 +42,8 @@ def main() -> None:
         model.ModelConfig(),
         training.PretrainConfig(max_steps=400),
     )
-    base_scorer = ev.TextOnlyScorer(base)
-    base_acc = ev.commute_accuracy(base_scorer, splits.test_contrastive)
+    base_acc = ev.commute_accuracy(ev.make_scorer(base, None),
+                                   splits.test_contrastive)
     print(f"frozen base: contrastive accuracy {base_acc:.1f} "
           f"(image-blind, so chance)   [{time.time() - t0:.0f}s]")
 
@@ -71,19 +71,17 @@ def main() -> None:
 
     # 5. The adapted model reads the image; guidance (gamma > 1) pushes
     # further away from the image-blind base at decoding time.
-    mm_scorer = ev.MultimodalScorer(result.params)
-    acc_mm = ev.commute_accuracy(mm_scorer, splits.test_contrastive)
-    guided = ev.CfgScorer(base_scorer, mm_scorer, gamma=2.0)
-    acc_guided = ev.commute_accuracy(guided, splits.test_contrastive)
+    acc_mm = ev.commute_accuracy(ev.make_scorer(base, result.params),
+                                 splits.test_contrastive)
+    acc_guided = ev.commute_accuracy(ev.make_scorer(base, result.params, 2.0),
+                                     splits.test_contrastive)
     print(f"test contrastive accuracy: base {base_acc:.1f} -> "
           f"adapted {acc_mm:.1f} -> guided (gamma=2) {acc_guided:.1f}")
 
     # one concrete example: same source, two images, two translations
     inst = splits.test_contrastive[0]
     for label, img in (("image A", inst.img_a), ("image B", inst.img_b)):
-        hyp = decoding.cfg_beam_search(
-            base, result.params, inst.src, img, gamma=2.0
-        )
+        hyp = decoding.translate(base, result.params, inst.src, img, 2.0)
         print(f"  src {inst.src} + {label} -> {list(hyp.tokens)}")
     print(f"done in {time.time() - t0:.0f}s")
 

@@ -46,12 +46,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -273,7 +267,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
     def bwd(g):
         gg = g * gain.data
-        n = x.shape[-1]
         gx = inv * (
             gg
             - gg.mean(axis=-1, keepdims=True)
@@ -283,7 +276,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         axes = tuple(range(g.ndim - 1))
         _accumulate(gain, (g * xhat).sum(axis=axes))
         _accumulate(bias, g.sum(axis=axes))
-        del n
 
     return _make(data, (x, gain, bias), bwd)
 

@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import decoding
 from . import evaluation as ev
@@ -49,13 +47,11 @@ class RunConfig:
 
 
 def _fill_dataclass(cls, obj: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(obj) - set(fields)
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys at {path}: {sorted(unknown)}")
     kwargs = {}
     for key, value in obj.items():
-        ftype = fields[key].type
         if isinstance(value, dict):
             sub = _DATACLASS_FIELDS.get((cls, key))
             if sub is None:
@@ -63,7 +59,6 @@ def _fill_dataclass(cls, obj: dict, path: str):
             kwargs[key] = _fill_dataclass(sub, value, f"{path}.{key}")
         else:
             kwargs[key] = value
-        del ftype
     return cls(**kwargs)
 
 
@@ -191,20 +186,8 @@ def cmd_translate(config: RunConfig, out: Path) -> None:
     base = _load_base(out)
     world = _load_world(out)
     gold = _load_split_examples(out, "mmt_train")
-    # sense/cue diagnostics need the generator's metadata, which files do
-    # not carry; regenerate it deterministically from the world
-    regen = sc.generate_splits(world, sc.SplitSizes(
-        **{**asdict(config.sizes)}
-    )).mmt_train
-    by_id = {ex.id: ex for ex in regen}
-    enriched = []
-    for ex in gold:
-        meta = by_id.get(ex.id)
-        if meta is not None:
-            ex.amb_word, ex.sense, ex.has_cue = meta.amb_word, meta.sense, meta.has_cue
-        enriched.append(ex)
     pseudo, report = sc.pseudo_translate(
-        base, enriched, world, width=config.eval_beam_width
+        base, gold, world, width=config.eval_beam_width
     )
     sc.write_examples(_corpus_dir(out) / "mmt_train_pseudo.jsonl", pseudo)
     _write_json(out / "translate_report.json", _meta(
@@ -242,29 +225,6 @@ def cmd_train(config: RunConfig, out: Path, mode: str) -> None:
     )
 
 
-def _generation_bleu(
-    base: m.ModelParams,
-    mm: m.ModelParams | None,
-    examples: list[sc.Example],
-    gamma: float,
-    width: int,
-    space: str,
-) -> float:
-    hyps, refs = [], []
-    for ex in examples:
-        if mm is None:
-            hyp = decoding.beam_search(base, ex.src, image=None, width=width,
-                                       use_extras=False)
-        elif gamma == 1.0:
-            hyp = decoding.beam_search(mm, ex.src, image=ex.image, width=width)
-        else:
-            hyp = decoding.cfg_beam_search(base, mm, ex.src, ex.image, gamma,
-                                           width=width, space=space)
-        hyps.append(list(hyp.tokens))
-        refs.append(ex.tgt[1:-1])
-    return ev.bleu(hyps, refs)
-
-
 def _sense_accuracy(
     base: m.ModelParams,
     mm: m.ModelParams | None,
@@ -278,18 +238,18 @@ def _sense_accuracy(
     for inst in instances:
         word = next(t for t in inst.src if t in world.amb_tgt)
         for sense, img in ((0, inst.img_a), (1, inst.img_b)):
-            if mm is None:
-                hyp = decoding.beam_search(base, inst.src, image=None, width=width,
-                                           use_extras=False)
-            elif gamma == 1.0:
-                hyp = decoding.beam_search(mm, inst.src, image=img, width=width)
-            else:
-                hyp = decoding.cfg_beam_search(base, mm, inst.src, img, gamma,
-                                               width=width, space=space)
+            hyp = decoding.translate(base, mm, inst.src, img, gamma, width, space)
             want = world.sense_tokens(word)[sense]
             hits += int(want in hyp.tokens)
             total += 1
     return 100.0 * hits / max(1, total)
+
+
+def _load_mm(out: Path, ckpt: Path | None) -> m.ModelParams:
+    mm, _ = m.load_checkpoint(ckpt if ckpt is not None
+                              else out / "train_full" / "best.ckpt")
+    mm.freeze_base()
+    return mm
 
 
 def cmd_eval(
@@ -303,31 +263,15 @@ def cmd_eval(
     world = _load_world(out)
     instances = _load_split_contrastive(out, "test_contrastive")
     translation = _load_split_examples(out, "test_translation")
-    width = config.eval_beam_width
+    width, space = config.eval_beam_width, config.cfg_space
+    mm = None if text_only else _load_mm(out, ckpt)
+    tag = "base" if text_only else f"gamma{gamma:g}"
 
-    if text_only:
-        mm = None
-        scorer = ev.TextOnlyScorer(base)
-        plain_scorer = scorer
-        tag = "base"
-    else:
-        ckpt_path = ckpt if ckpt is not None else out / "train_full" / "best.ckpt"
-        mm, _ = m.load_checkpoint(ckpt_path)
-        mm.freeze_base()
-        plain_scorer = ev.MultimodalScorer(mm)
-        if gamma == 1.0:
-            scorer = plain_scorer
-        else:
-            scorer = ev.CfgScorer(ev.TextOnlyScorer(base), plain_scorer, gamma,
-                                  config.cfg_space)
-        tag = f"gamma{gamma:g}"
-
-    report = ev.evaluate_contrastive(scorer, instances)
-    report.bleu = _generation_bleu(base, mm, translation, gamma, width,
-                                   config.cfg_space)
-    plain_acc = ev.commute_accuracy(plain_scorer, instances)
-    sense_acc = _sense_accuracy(base, mm, world, instances, gamma, width,
-                                config.cfg_space)
+    report = ev.evaluate_contrastive(ev.make_scorer(base, mm, gamma, space),
+                                     instances)
+    report.bleu = ev.translation_bleu(base, mm, translation, gamma, width, space)
+    plain_acc = ev.commute_accuracy(ev.make_scorer(base, mm), instances)
+    sense_acc = _sense_accuracy(base, mm, world, instances, gamma, width, space)
 
     run_dir = out / f"eval_{tag}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -363,37 +307,26 @@ def cmd_sweep(
     if not values:
         raise ValueError("sweep needs at least one value")
     base = _load_base(out)
-    world = _load_world(out)
     instances = _load_split_contrastive(out, "test_contrastive")
     translation = _load_split_examples(out, "test_translation")
-    width = config.eval_beam_width
+    width, space = config.eval_beam_width, config.cfg_space
     rows = []
 
     if param == "gamma":
-        ckpt_path = ckpt if ckpt is not None else out / "train_full" / "best.ckpt"
-        mm, _ = m.load_checkpoint(ckpt_path)
-        mm.freeze_base()
-        text_scorer = ev.TextOnlyScorer(base)
-        mm_scorer = ev.MultimodalScorer(mm)
+        mm = _load_mm(out, ckpt)
         for gamma in values:
-            scorer = mm_scorer if gamma == 1.0 else ev.CfgScorer(
-                text_scorer, mm_scorer, gamma, config.cfg_space
-            )
-            acc = ev.commute_accuracy(scorer, instances)
-            bleu_score = _generation_bleu(base, mm, translation, gamma, width,
-                                          config.cfg_space)
-            rows.append((gamma, acc, bleu_score))
+            acc = ev.commute_accuracy(ev.make_scorer(base, mm, gamma, space),
+                                      instances)
+            rows.append((gamma, acc, ev.translation_bleu(
+                base, mm, translation, gamma, width, space)))
     elif param == "lambda":
         data = _train_data(out, config)
         for lam in values:
             train_config = dataclasses.replace(config.train, lam=lam, mode="full")
-            result = tr.train(train_config, data, base)
-            scorer = ev.MultimodalScorer(result.params)
-            acc = ev.commute_accuracy(scorer, instances)
-            bleu_score = _generation_bleu(base, result.params, translation, 1.0,
-                                          width, config.cfg_space)
-            rows.append((lam, acc, bleu_score))
-        del world
+            mm = tr.train(train_config, data, base).params
+            acc = ev.commute_accuracy(ev.make_scorer(base, mm), instances)
+            rows.append((lam, acc, ev.translation_bleu(
+                base, mm, translation, 1.0, width, space)))
     else:
         raise ValueError(f"unknown sweep parameter {param!r}")
 

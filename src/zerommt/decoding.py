@@ -5,11 +5,14 @@ the text-only and multimodal models. Done in log space and renormalized,
 so the output stays a valid distribution for every gamma while the
 gamma=0 and gamma=1 endpoints reproduce the inputs exactly. A clipped
 probability-space variant is available behind ``space='prob_clip'``.
+``translate`` is the one place that picks the text-only base, the
+multimodal model or the guidance blend for a sentence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,25 +26,10 @@ StepFn = Callable[[tuple[int, ...]], np.ndarray]
 
 
 @dataclass
-class GuidanceScale:
-    gamma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError(f"gamma must be finite and nonnegative: {self.gamma}")
-
-
-@dataclass
 class Hypothesis:
     tokens: tuple[int, ...]
     logp: float
     finished: bool = False
-
-
-@dataclass
-class Beam:
-    width: int = 4
-    hypotheses: list[Hypothesis] = field(default_factory=list)
 
 
 def cfg_distribution(
@@ -50,7 +38,10 @@ def cfg_distribution(
     gamma: float,
     space: str = "log",
 ) -> np.ndarray:
-    """Blend the text-only and multimodal next-token distributions."""
+    """Blend the text-only and multimodal next-token distributions; gamma
+    must be finite and nonnegative."""
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and nonnegative: {gamma}")
     p_text = np.asarray(p_text, dtype=np.float64)
     p_mm = np.asarray(p_mm, dtype=np.float64)
     if p_text.shape != p_mm.shape:
@@ -179,3 +170,24 @@ def cfg_beam_search(
         return cfg_distribution(text_step(prefix), mm_step(prefix), gamma, space)
 
     return beam_search_steps(step, width, max_len)
+
+
+def translate(
+    base_params: ModelParams,
+    mm_params: ModelParams | None,
+    source: list[int],
+    image: np.ndarray | None,
+    gamma: float = 1.0,
+    width: int = 4,
+    space: str = "log",
+) -> Hypothesis:
+    """Translate one sentence: with the text-only base when ``mm_params``
+    is None (the image is ignored), with plain beam search on the
+    multimodal model at gamma = 1, else with guided beam search."""
+    if mm_params is None:
+        return beam_search(base_params, source, image=None, width=width,
+                           use_extras=False)
+    if gamma == 1.0:
+        return beam_search(mm_params, source, image=image, width=width)
+    return cfg_beam_search(base_params, mm_params, source, image, gamma,
+                           width=width, space=space)

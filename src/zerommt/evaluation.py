@@ -3,31 +3,23 @@
 A scorer is anything that maps (source, image, target) to per-position
 next-token distributions under teacher forcing. Three scorers are
 provided: the frozen text-only base (image-blind), the multimodal model,
-and a guidance blend of the two.
+and a guidance blend of the two. ``make_scorer`` picks one from the same
+(base, multimodal model or None, gamma) keys as ``decoding.translate``,
+and ``translation_bleu`` scores that dispatcher's translations.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .decoding import cfg_distribution
+from .decoding import cfg_distribution, translate
 from .model import ModelParams
-
-
-def max_threads() -> int:
-    """Instance-level parallelism cap, from ZEROMMT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ZEROMMT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -83,30 +75,33 @@ class EvalReport:
 # scorers
 
 
-class TextOnlyScorer:
+class _ModelScorer:
+    """Teacher-forced softmax of one model, with the image and the extras
+    both used or both ignored."""
+
+    use_extras = True
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+
+    def distributions(self, src, image, tgt) -> np.ndarray:
+        image = image if self.use_extras else None
+        enc = m.encode(src, image, self.params, use_extras=self.use_extras)
+        ids = np.asarray([tgt[:-1]], dtype=np.int64)
+        valid = np.ones_like(ids, dtype=bool)
+        logits = m.decoder_logits(self.params, enc, ids, valid,
+                                  use_extras=self.use_extras)
+        return ad.softmax(logits, axis=-1).data[0]
+
+
+class TextOnlyScorer(_ModelScorer):
     """Frozen base model; ignores the image entirely."""
 
-    def __init__(self, params: ModelParams):
-        self.params = params
-
-    def distributions(self, src, image, tgt) -> np.ndarray:
-        enc = m.encode(src, None, self.params, use_extras=False)
-        ids = np.asarray([tgt[:-1]], dtype=np.int64)
-        valid = np.ones_like(ids, dtype=bool)
-        logits = m.decoder_logits(self.params, enc, ids, valid, use_extras=False)
-        return ad.softmax(logits, axis=-1).data[0]
+    use_extras = False
 
 
-class MultimodalScorer:
-    def __init__(self, params: ModelParams):
-        self.params = params
-
-    def distributions(self, src, image, tgt) -> np.ndarray:
-        enc = m.encode(src, image, self.params, use_extras=True)
-        ids = np.asarray([tgt[:-1]], dtype=np.int64)
-        valid = np.ones_like(ids, dtype=bool)
-        logits = m.decoder_logits(self.params, enc, ids, valid, use_extras=True)
-        return ad.softmax(logits, axis=-1).data[0]
+class MultimodalScorer(_ModelScorer):
+    """Adapted model: image and extras."""
 
 
 class CfgScorer:
@@ -127,6 +122,22 @@ class CfgScorer:
                 for j in range(pt.shape[0])
             ]
         )
+
+
+def make_scorer(
+    base: ModelParams,
+    mm: ModelParams | None,
+    gamma: float = 1.0,
+    space: str = "log",
+):
+    """The scorer of ``decoding.translate``'s keys: the text-only base when
+    ``mm`` is None, the multimodal model at gamma = 1, else the guidance
+    blend of the two."""
+    if mm is None:
+        return TextOnlyScorer(base)
+    if gamma == 1.0:
+        return MultimodalScorer(mm)
+    return CfgScorer(TextOnlyScorer(base), MultimodalScorer(mm), gamma, space)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +189,7 @@ def commute_rows(
 ) -> list[InstanceRow]:
     if not instances:
         raise ValueError("no contrastive instances")
-    workers = max_threads()
-    if workers == 1:
-        nested = [_score_instance(scorer, inst) for inst in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(lambda it: _score_instance(scorer, it), instances))
-    return [row for rows in nested for row in rows]
+    return [row for inst in instances for row in _score_instance(scorer, inst)]
 
 
 def commute_accuracy(scorer, instances: list[ContrastiveInstance]) -> float:
@@ -262,3 +267,20 @@ def bleu(hypotheses, references, max_n: int = 4) -> float:
 
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
     return 100.0 * bp * math.exp(sum(log_precisions) / orders)
+
+
+def translation_bleu(
+    base: ModelParams,
+    mm: ModelParams | None,
+    examples,
+    gamma: float = 1.0,
+    width: int = 4,
+    space: str = "log",
+) -> float:
+    """Corpus BLEU of ``decoding.translate`` over ``examples`` (anything
+    with ``src``, ``image`` and a BOS/EOS-wrapped ``tgt``)."""
+    hyps = [
+        list(translate(base, mm, ex.src, ex.image, gamma, width, space).tokens)
+        for ex in examples
+    ]
+    return bleu(hyps, [ex.tgt[1:-1] for ex in examples])

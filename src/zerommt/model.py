@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -75,9 +75,6 @@ class ModelParams:
     def extra_names(self) -> list[str]:
         return [n for n in self.tensors if self.is_extra[n]]
 
-    def frozen_flags(self) -> dict[str, bool]:
-        return {n: not t.requires_grad for n, t in self.tensors.items()}
-
     def freeze_base(self) -> None:
         for n, t in self.tensors.items():
             t.requires_grad = self.is_extra[n]
@@ -123,10 +120,6 @@ class EncoderStates:
     text_valid: np.ndarray
     self_valid: np.ndarray
     has_image: bool
-
-    @property
-    def text_positions(self) -> np.ndarray:
-        return np.nonzero(self.text_valid[0])[0]
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -226,12 +219,6 @@ def reinit_extras(params: ModelParams, seed: int) -> None:
             t.data = _uniform(rng, (cfg.image_dim, d), cfg.image_dim)
         else:
             t.data = np.zeros_like(t.data)
-
-
-def zero_extras(params: ModelParams) -> None:
-    for name in params.extra_names():
-        t = params.tensors[name]
-        t.data = np.zeros_like(t.data)
 
 
 def randomize_extras(params: ModelParams, seed: int, scale: float = 0.05) -> None:

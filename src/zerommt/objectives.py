@@ -128,6 +128,40 @@ def _stack_images(examples: list[BatchExample]) -> np.ndarray:
     return np.stack([np.asarray(ex.image, dtype=np.float64) for ex in examples])
 
 
+def _teacher_forced(
+    examples: list[BatchExample],
+    params: ModelParams,
+    masked: bool,
+    multimodal: bool,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """The one teacher-forced forward: log-probabilities (B, T, V) of every
+    target position, the gold next tokens (B, T) and the token weights
+    (B, T), zero on padding.
+
+    ``masked`` replaces each example's ``mask_set`` with MASK in the
+    source; ``multimodal`` feeds the images and switches the extras on
+    (off, the pass is the text-only base).
+    """
+    if not examples:
+        raise ValueError("empty batch")
+    src, src_valid = _pad_sources(examples, masked)
+    tgt_in, tgt_out, tgt_valid, w = _pad_targets(examples)
+    images = _stack_images(examples) if multimodal else None
+    enc = encode_batch(params, src, src_valid, images, use_extras=multimodal)
+    logits = decoder_logits(params, enc, tgt_in, tgt_valid, use_extras=multimodal)
+    return ad.log_softmax(logits, axis=-1), tgt_out, w
+
+
+def _nll(
+    lp: Tensor, tgt_out: np.ndarray, w: np.ndarray, accept: np.ndarray | None = None
+) -> Tensor:
+    """Token-mean negative log-likelihood of the gold tokens, or of the
+    mass on the accepted sets where ``accept`` (see ``_accept_mask``) is
+    given."""
+    gold = ad.gather(lp, tgt_out) if accept is None else _log_mass(lp, accept)
+    return ad.scale(_weighted_token_mean(gold, w), -1.0)
+
+
 def _weighted_token_mean(per_token: Tensor, weights: np.ndarray) -> Tensor:
     return ad.scale(ad.tsum(ad.mul(per_token, weights)), 1.0 / weights.sum())
 
@@ -179,30 +213,26 @@ def accepted_tokens(
 def vmlm_loss(batch: Batch, params: ModelParams) -> Tensor:
     """Mean over target tokens of -log p(y_j | y_<j, masked source, image),
     with p(y_j) the mass on the accepted set where an example has one."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    src, src_valid = _pad_sources(batch.examples, masked=True)
-    tgt_in, tgt_out, tgt_valid, w = _pad_targets(batch.examples)
-    images = _stack_images(batch.examples)
-    enc = encode_batch(params, src, src_valid, images, use_extras=True)
-    lp = ad.log_softmax(decoder_logits(params, enc, tgt_in, tgt_valid), axis=-1)
+    lp, tgt_out, w = _teacher_forced(batch.examples, params, masked=True,
+                                     multimodal=True)
     accept = _accept_mask(batch.examples, tgt_out, params.config.vocab_size)
-    gold = ad.gather(lp, tgt_out) if accept is None else _log_mass(lp, accept)
-    return ad.scale(_weighted_token_mean(gold, w), -1.0)
+    return _nll(lp, tgt_out, w, accept)
 
 
 def text_nll(batch: Batch, params: ModelParams) -> Tensor:
     """Text-only teacher-forced NLL (no images, no extras); used to
     pretrain the base translation model."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    src, src_valid = _pad_sources(batch.examples, masked=False)
-    tgt_in, tgt_out, tgt_valid, w = _pad_targets(batch.examples)
-    enc = encode_batch(params, src, src_valid, None, use_extras=False)
-    lp = ad.log_softmax(
-        decoder_logits(params, enc, tgt_in, tgt_valid, use_extras=False), axis=-1
-    )
-    return ad.scale(_weighted_token_mean(ad.gather(lp, tgt_out), w), -1.0)
+    lp, tgt_out, w = _teacher_forced(batch.examples, params, masked=False,
+                                     multimodal=False)
+    return _nll(lp, tgt_out, w)
+
+
+def mmt_loss(batch: Batch, params: ModelParams) -> Tensor:
+    """Plain teacher-forced NLL on the unmasked source plus image; the
+    ablation replacement for the KL anchor."""
+    lp, tgt_out, w = _teacher_forced(batch.examples, params, masked=False,
+                                     multimodal=True)
+    return _nll(lp, tgt_out, w)
 
 
 def base_teacher_logprobs(
@@ -212,13 +242,10 @@ def base_teacher_logprobs(
     example. The base never sees images or masks, so these are constants
     that can be computed once per corpus and reused every epoch."""
     out: list[np.ndarray] = []
+    # one example per forward: padding into a batch would move float rounding
     for ex in examples:
-        src, src_valid = _pad_sources([ex], masked=False)
-        tgt_in, _, tgt_valid, _ = _pad_targets([ex])
-        enc = encode_batch(frozen_params, src, src_valid, None, use_extras=False)
-        logits = decoder_logits(frozen_params, enc, tgt_in, tgt_valid,
-                                use_extras=False)
-        lp = ad.log_softmax(logits, axis=-1)
+        lp, _, _ = _teacher_forced([ex], frozen_params, masked=False,
+                                   multimodal=False)
         out.append(lp.data[0])
     return out
 
@@ -260,21 +287,13 @@ def kl_penalty(
     leaves free how the model splits that mass among translations the base
     itself finds plausible. That split is what the image decides.
     """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
     if kl_mode not in ("full", "realized"):
         raise ValueError(f"unknown kl_mode {kl_mode!r}")
-    src, src_valid = _pad_sources(batch.examples, masked=False)
-    tgt_in, tgt_out, tgt_valid, w = _pad_targets(batch.examples)
-    images = _stack_images(batch.examples)
-
-    q_lp = _padded_base_logprobs(frozen_params, batch.examples, tgt_in.shape[1],
+    lp, tgt_out, w = _teacher_forced(batch.examples, params, masked=False,
+                                     multimodal=True)
+    p_lp = ad.clip_min(lp, np.log(LOG_FLOOR))
+    q_lp = _padded_base_logprobs(frozen_params, batch.examples, tgt_out.shape[1],
                                  base_lp)
-    enc = encode_batch(params, src, src_valid, images, use_extras=True)
-    p_lp = ad.clip_min(
-        ad.log_softmax(decoder_logits(params, enc, tgt_in, tgt_valid), axis=-1),
-        np.log(LOG_FLOOR),
-    )
     q = np.exp(q_lp)
     accept = _accept_mask(batch.examples, tgt_out, q.shape[-1])
     if kl_mode == "full":
@@ -302,19 +321,6 @@ def _set_divergence(q: np.ndarray, p_lp: Tensor, accept: np.ndarray, weight) -> 
     set; the one-outcome term of the divergence."""
     q_set = (q * accept).sum(axis=-1)
     return ad.mul(weight * q_set, ad.sub(np.log(q_set), _log_mass(p_lp, accept)))
-
-
-def mmt_loss(batch: Batch, params: ModelParams) -> Tensor:
-    """Plain teacher-forced NLL on the unmasked source plus image; the
-    ablation replacement for the KL anchor."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    src, src_valid = _pad_sources(batch.examples, masked=False)
-    tgt_in, tgt_out, tgt_valid, w = _pad_targets(batch.examples)
-    images = _stack_images(batch.examples)
-    enc = encode_batch(params, src, src_valid, images, use_extras=True)
-    lp = ad.log_softmax(decoder_logits(params, enc, tgt_in, tgt_valid), axis=-1)
-    return ad.scale(_weighted_token_mean(ad.gather(lp, tgt_out), w), -1.0)
 
 
 def combined_loss(

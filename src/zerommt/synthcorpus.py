@@ -16,7 +16,7 @@ its own seed stream keyed by (seed, split, index).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -381,6 +381,19 @@ class PseudoTranslateReport:
         return self.cued_sense_match / max(1, self.cued_total)
 
 
+def annotate(world: World, example: Example) -> Example:
+    """``example`` with ``amb_word``, ``sense`` and ``has_cue`` derived from
+    its tokens: the ambiguous source word; the sense its cue names, or,
+    without a cue, the sense token in the gold target."""
+    word = next((t for t in example.src if t in world.amb_tgt), None)
+    sense, has_cue = None, False
+    if word is not None:
+        cued = [s for s in (0, 1) if world.cue[(word, s)] in example.src]
+        has_cue = bool(cued)
+        sense = cued[0] if cued else _realized_sense(world, word, example.tgt)
+    return replace(example, amb_word=word, sense=sense, has_cue=has_cue)
+
+
 def _realized_sense(world: World, word: int, tgt: list[int]) -> int | None:
     t0, t1 = world.sense_tokens(word)
     has0, has1 = t0 in tgt, t1 in tgt
@@ -395,10 +408,13 @@ def pseudo_translate(
     world: World,
     width: int = 4,
 ) -> tuple[list[Example], PseudoTranslateReport]:
-    """Replace gold targets with the frozen base's beam translations."""
+    """Replace gold targets with the frozen base's beam translations. The
+    report's sense diagnostics come from ``annotate`` on the gold
+    examples, so examples read back from JSONL need no side metadata."""
     report = PseudoTranslateReport(n_total=len(examples))
     out: list[Example] = []
     for ex in examples:
+        ex = annotate(world, ex)
         hyp = decoding.beam_search(
             base_params, ex.src, image=None, width=width, use_extras=False
         )
@@ -421,12 +437,7 @@ def pseudo_translate(
                 report.uncued_sense_counts[key] = (
                     report.uncued_sense_counts.get(key, 0) + 1
                 )
-        out.append(
-            Example(
-                id=ex.id, src=ex.src, tgt=tgt, image=ex.image,
-                amb_word=ex.amb_word, sense=ex.sense, has_cue=ex.has_cue,
-            )
-        )
+        out.append(replace(ex, tgt=tgt))
     return out, report
 
 

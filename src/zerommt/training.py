@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import decoding
 from . import evaluation as ev
 from . import model as m
 from .model import ModelParams
@@ -81,8 +80,8 @@ class Checkpoint:
     extras: dict[str, np.ndarray]
     contrastive_acc: float
     bleu: float
+    contrastive_margin: float
     selection_score: float = float("nan")
-    contrastive_margin: float = float("nan")
 
 
 @dataclass
@@ -242,15 +241,12 @@ def evaluate_checkpoint(
     """Contrastive accuracy, contrastive margin and BLEU of the current
     multimodal model."""
     report = ev.evaluate_contrastive(ev.MultimodalScorer(params), val_contrastive)
-    hyps, refs = [], []
-    for ex in val_translation:
-        hyp = decoding.beam_search(
-            params, ex.src, image=ex.image, width=beam_width
-        )
-        hyps.append(list(hyp.tokens))
-        refs.append(ex.tgt[1:-1])
+    # with the extras off, ``params`` is the frozen base, which gamma = 1
+    # never consults
+    bleu_score = ev.translation_bleu(params, params, val_translation, 1.0,
+                                     beam_width)
     return (report.contrastive_accuracy, ev.contrastive_margin(report.rows),
-            ev.bleu(hyps, refs))
+            bleu_score)
 
 
 def train(
@@ -338,20 +334,16 @@ def train(
 
 
 def select_model(checkpoints: list[Checkpoint]) -> Checkpoint:
-    """Equal-weight sum of min-max normalized disambiguation and BLEU; ties
-    go to the earliest step.
+    """Equal-weight sum of min-max normalized contrastive margin and BLEU;
+    ties go to the earliest step.
 
-    Disambiguation is the contrastive margin when every checkpoint has
-    one, else contrastive accuracy. On a validation set of a few dozen
-    instances accuracy moves in steps of one row and often ties; the
-    margin ranks the same checkpoints by how far each prefers the right
-    translations.
+    On a validation set of a few dozen instances accuracy moves in steps
+    of one row and often ties; the margin ranks the same checkpoints by
+    how far each prefers the right translations.
     """
     if not checkpoints:
         raise ValueError("no checkpoints to select from")
     disamb = [c.contrastive_margin for c in checkpoints]
-    if not all(np.isfinite(disamb)):
-        disamb = [c.contrastive_acc for c in checkpoints]
     bleus = [c.bleu for c in checkpoints]
 
     def norm(vals: list[float]) -> list[float]:

@@ -89,35 +89,21 @@ def runs(pipeline):
     return results, time.time() - t0
 
 
-def _generation_bleu(params, examples, use_extras=True):
-    hyps, refs = [], []
-    for ex in examples:
-        hyp = dec.beam_search(
-            params, ex.src, image=ex.image if use_extras else None,
-            width=BEAM_WIDTH, use_extras=use_extras,
-        )
-        hyps.append(list(hyp.tokens))
-        refs.append(ex.tgt[1:-1])
-    return ev.bleu(hyps, refs)
-
-
 @pytest.fixture(scope="module")
 def ablation(pipeline, runs):
     """Held-out test-set metrics for the frozen base and every mode."""
     results, train_seconds = runs
     test_c = pipeline.splits.test_contrastive
     test_t = pipeline.splits.test_translation
+    models = {"base": None}
+    models.update((mode, result.params) for mode, result in results.items())
     metrics = {
-        "base": (
-            ev.commute_accuracy(ev.TextOnlyScorer(pipeline.base), test_c),
-            _generation_bleu(pipeline.base, test_t, use_extras=False),
+        name: (
+            ev.commute_accuracy(ev.make_scorer(pipeline.base, mm), test_c),
+            ev.translation_bleu(pipeline.base, mm, test_t, width=BEAM_WIDTH),
         )
+        for name, mm in models.items()
     }
-    for mode, result in results.items():
-        metrics[mode] = (
-            ev.commute_accuracy(ev.MultimodalScorer(result.params), test_c),
-            _generation_bleu(result.params, test_t),
-        )
     return metrics, train_seconds
 
 
@@ -433,26 +419,12 @@ def test_guidance_sweep(pipeline, runs, report, provenance):
     base = pipeline.base
     test_c = pipeline.splits.test_contrastive
     test_t = pipeline.splits.test_translation
-    text_scorer = ev.TextOnlyScorer(base)
-    mm_scorer = ev.MultimodalScorer(full)
-
     accs, bleus = {}, {}
     for gamma in GAMMA_GRID:
-        scorer = mm_scorer if gamma == 1.0 else ev.CfgScorer(
-            text_scorer, mm_scorer, gamma
-        )
-        accs[gamma] = ev.commute_accuracy(scorer, test_c)
-        hyps, refs = [], []
-        for ex in test_t:
-            if gamma == 1.0:
-                hyp = dec.beam_search(full, ex.src, image=ex.image,
-                                      width=BEAM_WIDTH)
-            else:
-                hyp = dec.cfg_beam_search(base, full, ex.src, ex.image, gamma,
-                                          width=BEAM_WIDTH)
-            hyps.append(list(hyp.tokens))
-            refs.append(ex.tgt[1:-1])
-        bleus[gamma] = ev.bleu(hyps, refs)
+        accs[gamma] = ev.commute_accuracy(ev.make_scorer(base, full, gamma),
+                                          test_c)
+        bleus[gamma] = ev.translation_bleu(base, full, test_t, gamma,
+                                           width=BEAM_WIDTH)
 
     gain = accs[2.0] - accs[1.0]
     steps = list(zip(GAMMA_GRID, GAMMA_GRID[1:]))

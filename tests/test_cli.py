@@ -2,6 +2,7 @@
 stage runs inside one shared run directory and leaves the promised files."""
 
 import json
+import shutil
 
 import pytest
 
@@ -92,6 +93,27 @@ def test_translate_writes_pseudo_targets_and_report(run_dir):
     assert 0.0 <= report["unambiguous_match_rate"] <= 1.0
 
 
+def test_translate_report_does_not_depend_on_config_sizes(run_dir, tmp_path):
+    # the sense diagnostics come from the captions themselves, so a config
+    # whose mmt_train size is smaller than gen's still counts every caption
+    _, out = run_dir
+    small = tmp_path / "out"
+    shutil.copytree(out / "corpus", small / "corpus")
+    shutil.copy(out / "base.ckpt", small / "base.ckpt")
+    config = dict(CONFIG, sizes=dict(CONFIG["sizes"], mmt_train=4))
+    config_path = tmp_path / "small.json"
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["translate", "--config", str(config_path),
+                     "--out", str(small)]) == 0
+    keys = ("n_total", "n_dropped", "unambiguous_match_rate",
+            "cued_sense_match_rate", "uncued_sense_counts")
+    want = json.loads((out / "translate_report.json").read_text())
+    got = json.loads((small / "translate_report.json").read_text())
+    assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
+    name = "corpus/mmt_train_pseudo.jsonl"
+    assert (small / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_train_writes_checkpoint_and_log(run_dir):
     _, out = run_dir
     run = out / "train_full"
@@ -123,6 +145,13 @@ def test_eval_text_only_and_guided(run_dir):
     assert rows[0] == "id,orientation,ppl_correct,ppl_wrong,score"
     assert len(rows) == 1 + 2 * CONFIG["sizes"]["test_contrastive"]
     assert (rdir / "eval_rows.csv.meta.json").exists()
+
+
+def test_eval_rejects_negative_gamma(run_dir):
+    config_path, out = run_dir
+    assert cli.main(["eval", "--config", str(config_path), "--out", str(out),
+                     "--gamma", "-1"]) == 1
+    assert not (out / "eval_gamma-1").exists()
 
 
 def test_sweep_gamma_writes_grid(run_dir):

@@ -1,7 +1,6 @@
 """Guidance blend identities against hand-computed values, and beam search
 against exhaustive enumeration."""
 
-import itertools
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 from zerommt import decoding as dec
 from zerommt import model as m
-from zerommt.decoding import GuidanceScale, Hypothesis
+from zerommt.decoding import Hypothesis
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +79,12 @@ def test_cfg_input_validation():
         dec.cfg_distribution(np.ones(3) / 3, np.ones(4) / 4, 1.0)
     with pytest.raises(ValueError):
         dec.cfg_distribution(np.ones(3) / 3, np.ones(3) / 3, 1.0, space="geo")
+    p = np.ones(3) / 3
     with pytest.raises(ValueError):
-        GuidanceScale(gamma=-0.5)
+        dec.cfg_distribution(p, p, -0.5)
     with pytest.raises(ValueError):
-        GuidanceScale(gamma=float("inf"))
-    assert GuidanceScale().gamma == 1.0
+        dec.cfg_distribution(p, p, float("inf"))
+    assert np.array_equal(dec.cfg_distribution(p, p, 1.0), p)
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +230,31 @@ def test_beam_search_emits_valid_translation(tiny_params):
                           use_extras=False)
     assert all(0 <= t < tiny_params.config.vocab_size for t in hyp.tokens)
     assert all(t not in (m.PAD, m.BOS, m.MASK) for t in hyp.tokens)
+
+
+def test_translate_dispatch_matches_the_searches(tiny_params):
+    from zerommt import model as mm
+
+    mm.randomize_extras(tiny_params, seed=5)
+    src = [5, 6, 7]
+    img = np.random.default_rng(6).standard_normal(tiny_params.config.image_dim)
+
+    def same(a, b):
+        return (a.tokens, a.logp, a.finished) == (b.tokens, b.logp, b.finished)
+
+    # no multimodal model: the text-only base, whatever gamma and image
+    base_hyp = dec.beam_search(tiny_params, src, image=None, width=3,
+                               use_extras=False)
+    assert same(dec.translate(tiny_params, None, src, img, 2.0, width=3),
+                base_hyp)
+    assert same(dec.translate(tiny_params, tiny_params, src, img, 1.0, width=3),
+                dec.beam_search(tiny_params, src, image=img, width=3))
+    for gamma, space in ((0.5, "log"), (2.0, "prob_clip")):
+        assert same(
+            dec.translate(tiny_params, tiny_params, src, img, gamma, width=3,
+                          space=space),
+            dec.cfg_beam_search(tiny_params, tiny_params, src, img, gamma,
+                                width=3, space=space),
+        )
+    with pytest.raises(ValueError):
+        dec.translate(tiny_params, tiny_params, src, img, -1.0, width=3)

@@ -1,11 +1,14 @@
 """Scoring harness: perplexity and BLEU against scalar hand oracles, the
-two-orientation contrastive protocol, and the thread-count knob."""
+two-orientation contrastive protocol, and the scorer and BLEU
+dispatchers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from zerommt import decoding as dec
 from zerommt import evaluation as ev
 from zerommt import model as m
 from zerommt.evaluation import ContrastiveInstance
@@ -155,35 +158,6 @@ def test_eval_report_csv_layout():
 
 
 # ---------------------------------------------------------------------------
-# thread knob
-
-
-def test_max_threads_parsing(monkeypatch):
-    monkeypatch.delenv("ZEROMMT_THREADS", raising=False)
-    assert ev.max_threads() == 1
-    monkeypatch.setenv("ZEROMMT_THREADS", "4")
-    assert ev.max_threads() == 4
-    monkeypatch.setenv("ZEROMMT_THREADS", "0")
-    assert ev.max_threads() == 1
-    monkeypatch.setenv("ZEROMMT_THREADS", "lots")
-    assert ev.max_threads() == 1
-
-
-def test_threaded_scoring_matches_serial(monkeypatch):
-    instances = [_instance(k) for k in range(5)]
-    scorer = _two_target_scorer(0.8, 0.2, image_sensitive=True)
-    monkeypatch.setenv("ZEROMMT_THREADS", "1")
-    serial = ev.commute_rows(scorer, instances)
-    monkeypatch.setenv("ZEROMMT_THREADS", "3")
-    threaded = ev.commute_rows(scorer, instances)
-    assert [(r.id, r.orientation, r.ppl_correct, r.ppl_wrong, r.score)
-            for r in serial] == [
-        (r.id, r.orientation, r.ppl_correct, r.ppl_wrong, r.score)
-        for r in threaded
-    ]
-
-
-# ---------------------------------------------------------------------------
 # BLEU hand oracles
 
 
@@ -265,3 +239,34 @@ def test_multimodal_scorer_shape_and_normalization(tiny_params):
     dists = scorer.distributions([5, 6], img, tgt)
     assert dists.shape == (3, tiny_params.config.vocab_size)
     assert np.allclose(dists.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_make_scorer_dispatch(tiny_params):
+    m.randomize_extras(tiny_params, seed=12)
+    text = ev.make_scorer(tiny_params, None, 2.0)
+    assert type(text) is ev.TextOnlyScorer and text.params is tiny_params
+    plain = ev.make_scorer(tiny_params, tiny_params, 1.0)
+    assert type(plain) is ev.MultimodalScorer and plain.params is tiny_params
+    for gamma in (0.0, 2.0):
+        blend = ev.make_scorer(tiny_params, tiny_params, gamma, "prob_clip")
+        assert type(blend) is ev.CfgScorer
+        assert (blend.gamma, blend.space) == (gamma, "prob_clip")
+        assert type(blend.text_scorer) is ev.TextOnlyScorer
+        assert type(blend.mm_scorer) is ev.MultimodalScorer
+
+
+def test_translation_bleu_scores_the_dispatched_translations(tiny_params):
+    m.randomize_extras(tiny_params, seed=13)
+    rng = np.random.default_rng(14)
+    dim = tiny_params.config.image_dim
+    examples = [
+        SimpleNamespace(src=src, image=rng.standard_normal(dim), tgt=tgt)
+        for src, tgt in (([5, 6], [m.BOS, 7, 8, m.EOS]),
+                         ([6, 9, 5], [m.BOS, 8, 7, m.EOS]))
+    ]
+    for mm, gamma in ((None, 1.0), (tiny_params, 1.0), (tiny_params, 2.0)):
+        hyps = [list(dec.translate(tiny_params, mm, ex.src, ex.image, gamma,
+                                   width=2).tokens) for ex in examples]
+        want = ev.bleu(hyps, [ex.tgt[1:-1] for ex in examples])
+        got = ev.translation_bleu(tiny_params, mm, examples, gamma, width=2)
+        assert got == want

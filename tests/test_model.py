@@ -6,7 +6,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from zerommt import autodiff as ad
 from zerommt import model as m
 
 

@@ -212,6 +212,43 @@ def test_pseudo_translate_bookkeeping(world, splits):
     assert 0.0 <= report.cued_sense_match_rate <= 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("separation", [1.0, 2.0])
+def test_annotate_reproduces_generator_metadata(seed, separation):
+    world = sc.generate_world(
+        dataclasses.replace(sc.WorldSpec(), seed=seed,
+                            sense_cluster_separation=separation)
+    )
+    splits = sc.generate_splits(world, sc.SplitSizes(
+        pretrain_parallel=300, mmt_train=300, val_contrastive=1,
+        val_translation=20, test_contrastive=1, test_translation=20,
+    ))
+    for ex in (splits.pretrain_parallel + splits.mmt_train
+               + splits.val_translation + splits.test_translation):
+        # what a JSONL file keeps: id, tokens, image
+        bare = sc.Example(id=ex.id, src=ex.src, tgt=ex.tgt, image=ex.image)
+        got = sc.annotate(world, bare)
+        assert (got.amb_word, got.sense, got.has_cue) == (
+            ex.amb_word, ex.sense, ex.has_cue), ex
+        assert (got.id, got.src, got.tgt, got.image) == (
+            ex.id, ex.src, ex.tgt, ex.image)
+        assert bare.amb_word is None  # the input is left as it was
+
+
+def test_pseudo_translate_needs_no_side_metadata(world, splits):
+    from conftest import TINY
+
+    params = m.build_model(dataclasses.replace(TINY, vocab_size=32), seed=0)
+    bare = [sc.Example(id=ex.id, src=ex.src, tgt=ex.tgt, image=ex.image)
+            for ex in splits.mmt_train]
+    out_meta, with_meta = sc.pseudo_translate(params, splits.mmt_train, world,
+                                              width=2)
+    out_bare, without = sc.pseudo_translate(params, bare, world, width=2)
+    assert with_meta == without
+    assert [(ex.amb_word, ex.sense, ex.has_cue) for ex in out_bare] == [
+        (ex.amb_word, ex.sense, ex.has_cue) for ex in out_meta]
+
+
 def test_realized_sense_detection(world):
     amb = world.amb_src[0]
     t0, t1 = world.sense_tokens(amb)

@@ -97,24 +97,25 @@ def test_batches_deterministic_in_rng():
 # checkpoint selection
 
 
-def _cp(step, acc, bleu):
-    return Checkpoint(step=step, extras={}, contrastive_acc=acc, bleu=bleu)
+def _cp(step, margin, bleu, acc=60.0):
+    return Checkpoint(step=step, extras={}, contrastive_acc=acc, bleu=bleu,
+                      contrastive_margin=margin)
 
 
 def test_select_model_balances_both_metrics():
     # second checkpoint wins 0.5*1.0 + 0.5*1.0; others are dominated
-    cps = [_cp(1, 50.0, 90.0), _cp(2, 70.0, 95.0), _cp(3, 60.0, 92.0)]
+    cps = [_cp(1, 0.05, 90.0), _cp(2, 0.25, 95.0), _cp(3, 0.15, 92.0)]
     assert tr.select_model(cps).step == 2
 
 
 def test_select_model_tie_goes_to_earliest():
-    cps = [_cp(1, 60.0, 90.0), _cp(2, 60.0, 90.0), _cp(3, 60.0, 90.0)]
+    cps = [_cp(1, 0.1, 90.0), _cp(2, 0.1, 90.0), _cp(3, 0.1, 90.0)]
     assert tr.select_model(cps).step == 1
 
 
 def test_select_model_mixed_tradeoff():
     # normalized scores: a -> 0.5*1 + 0.5*0 = 0.5, b -> 0.5*0 + 0.5*1 = 0.5
-    cps = [_cp(1, 70.0, 80.0), _cp(2, 50.0, 100.0)]
+    cps = [_cp(1, 0.2, 80.0), _cp(2, 0.0, 100.0)]
     assert tr.select_model(cps).step == 1
 
 
@@ -122,23 +123,17 @@ def test_select_model_ranks_by_margin_when_every_checkpoint_has_one():
     # accuracy ties steps 2 and 3, which would go to step 2; the margins
     # normalize to 0, 0.5 and 1 and BLEU is constant (0.5 each), so the
     # scores are 0.25, 0.5 and 0.75
-    cps = [_cp(1, 60.0, 100.0), _cp(2, 70.0, 100.0), _cp(3, 70.0, 100.0)]
-    for cp, margin in zip(cps, (0.25, 0.5, 0.75)):
-        cp.contrastive_margin = margin
+    cps = [_cp(1, 0.25, 100.0, acc=60.0), _cp(2, 0.5, 100.0, acc=70.0),
+           _cp(3, 0.75, 100.0, acc=70.0)]
     assert tr.select_model(cps).step == 3
     assert [cp.selection_score for cp in cps] == [0.25, 0.5, 0.75]
-    # one checkpoint without a margin: back to accuracy, tie to the earliest
-    cps[0].contrastive_margin = float("nan")
-    assert tr.select_model(cps).step == 2
-    assert [cp.selection_score for cp in cps] == [0.25, 0.75, 0.75]
 
 
 def test_select_model_margin_tie_goes_to_earliest():
     # accuracy alone would pick step 3; the margins of steps 2 and 3 tie at
     # the top (normalized 0, 1, 1; BLEU constant at 0.5), so step 2 wins
-    cps = [_cp(1, 60.0, 100.0), _cp(2, 60.0, 100.0), _cp(3, 70.0, 100.0)]
-    for cp, margin in zip(cps, (0.1, 0.3, 0.3)):
-        cp.contrastive_margin = margin
+    cps = [_cp(1, 0.1, 100.0, acc=60.0), _cp(2, 0.3, 100.0, acc=60.0),
+           _cp(3, 0.3, 100.0, acc=70.0)]
     assert tr.select_model(cps).step == 2
     assert [cp.selection_score for cp in cps] == [0.25, 0.75, 0.75]
 
