@@ -13,8 +13,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-LOG_FLOOR = 1e-12
-
 
 class ShapeError(ValueError):
     """Raised when operands have incompatible shapes for an op."""

@@ -33,8 +33,6 @@ class RunConfig:
     model: m.ModelConfig = field(default_factory=m.ModelConfig)
     pretrain: tr.PretrainConfig = field(default_factory=tr.PretrainConfig)
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
-    gamma_list: list[float] = field(default_factory=lambda: list(DEFAULT_GAMMAS))
-    lambda_list: list[float] = field(default_factory=lambda: list(DEFAULT_LAMBDAS))
     targets: str = "pseudo"
     cfg_space: str = "log"
     eval_beam_width: int = 4
@@ -267,10 +265,13 @@ def cmd_eval(
     mm = None if text_only else _load_mm(out, ckpt)
     tag = "base" if text_only else f"gamma{gamma:g}"
 
-    report = ev.evaluate_contrastive(ev.make_scorer(base, mm, gamma, space),
-                                     instances)
+    scorer = ev.make_scorer(base, mm, gamma, space)
+    report = ev.evaluate_contrastive(scorer, instances)
     report.bleu = ev.translation_bleu(base, mm, translation, gamma, width, space)
-    plain_acc = ev.commute_accuracy(ev.make_scorer(base, mm), instances)
+    # without guidance, the report's scorer is already the plain one
+    plain_acc = (ev.commute_accuracy(ev.make_scorer(base, mm), instances)
+                 if isinstance(scorer, ev.CfgScorer)
+                 else report.contrastive_accuracy)
     sense_acc = _sense_accuracy(base, mm, world, instances, gamma, width, space)
 
     run_dir = out / f"eval_{tag}"
@@ -376,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--param", choices=("lambda", "gamma"), required=True)
     p_sweep.add_argument("--values", type=str, default=None,
-                         help="comma-separated override of the config grid")
+                         help="comma-separated grid (default: the built-in "
+                              "gamma or lambda grid)")
     p_sweep.add_argument("--ckpt", type=str, default=None)
 
     return parser
@@ -404,10 +406,9 @@ def main(argv: list[str] | None = None) -> int:
         elif stage == "sweep":
             if args.values is not None:
                 values = [float(v) for v in args.values.split(",") if v]
-            elif args.param == "gamma":
-                values = config.gamma_list
             else:
-                values = config.lambda_list
+                values = list(DEFAULT_GAMMAS if args.param == "gamma"
+                              else DEFAULT_LAMBDAS)
             cmd_sweep(config, out, args.param, values,
                       Path(args.ckpt) if args.ckpt else None)
     except Exception as e:  # noqa: BLE001 - report the failing stage and exit nonzero

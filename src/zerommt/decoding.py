@@ -128,15 +128,13 @@ def beam_search(
     source: list[int],
     image: np.ndarray | None = None,
     width: int = 4,
-    max_len: int | None = None,
     use_extras: bool = True,
 ) -> Hypothesis:
-    """Translate one source sentence with plain beam search."""
-    if max_len is None:
-        max_len = params.config.max_len
+    """Translate one source sentence with plain beam search, up to the
+    model's ``max_len`` tokens."""
     enc = m.encode(source, image, params, use_extras=use_extras)
     return beam_search_steps(
-        _model_step_fn(params, enc, use_extras), width, max_len
+        _model_step_fn(params, enc, use_extras), width, params.config.max_len
     )
 
 
@@ -147,14 +145,13 @@ def cfg_beam_search(
     image: np.ndarray,
     gamma: float,
     width: int = 4,
-    max_len: int | None = None,
     space: str = "log",
 ) -> Hypothesis:
-    """Beam search over the guidance blend of base and multimodal models."""
+    """Beam search over the guidance blend of base and multimodal models, up
+    to the multimodal model's ``max_len`` tokens."""
     if base_params.config.vocab_size != mm_params.config.vocab_size:
         raise ValueError("base and multimodal models must share the vocabulary")
-    if max_len is None:
-        max_len = mm_params.config.max_len
+    max_len = mm_params.config.max_len
     enc_text = m.encode(source, None, base_params, use_extras=False)
     enc_mm = m.encode(source, image, mm_params, use_extras=True)
     text_step = _model_step_fn(base_params, enc_text, use_extras=False)

@@ -155,16 +155,9 @@ def sequence_perplexity(scorer, x: list[int], i, y: list[int]) -> float:
     return float(np.exp(nll))
 
 
-def contrastive_score(
-    scorer, x: list[int], i, y_correct: list[int], y_wrong: list[int]
-) -> int:
-    """1 iff the correct translation has strictly lower perplexity."""
-    ppl_c = sequence_perplexity(scorer, x, i, y_correct)
-    ppl_w = sequence_perplexity(scorer, x, i, y_wrong)
-    return 1 if ppl_c < ppl_w else 0
-
-
 def _score_instance(scorer, inst: ContrastiveInstance) -> list[InstanceRow]:
+    """One row per orientation; it scores 1 iff the correct translation has
+    strictly lower perplexity."""
     rows = []
     for orientation, img, y_c, y_w in (
         ("a", inst.img_a, inst.tgt_a, inst.tgt_b),

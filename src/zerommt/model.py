@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -37,8 +37,6 @@ class ModelConfig:
     image_dim: int = 16
     adapter_reduction: int = 8
     max_len: int = 24
-    # the visual token gets no positional encoding by default
-    visual_positional_encoding: bool = False
 
     def validate(self) -> None:
         if self.vocab_size <= len(SPECIAL_TOKENS):
@@ -151,6 +149,8 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
         is_extra[name] = True
 
     base("embed", _uniform(rng, (v, d), d))
+    # one row more than any text position uses: the shape fixes the init
+    # stream, so every later tensor (and the base bytes) depends on it
     base("pos_embed", _uniform(rng, (config.max_len + 1, d), d))
 
     def attn(prefix: str) -> None:
@@ -335,10 +335,8 @@ def encode_batch(
     text_valid = src_valid
     self_valid = src_valid
     if images is not None:
-        vis = project_image(images, params)
-        if cfg.visual_positional_encoding:
-            vis = ad.add(vis, ad.embedding(p["pos_embed"], np.array([cfg.max_len])))
-        vis = ad.reshape(vis, (b, 1, cfg.d_model))
+        # the visual token gets no positional encoding
+        vis = ad.reshape(project_image(images, params), (b, 1, cfg.d_model))
         x = ad.concat([vis, x], axis=1)
         col_true = np.ones((b, 1), dtype=bool)
         col_false = np.zeros((b, 1), dtype=bool)
@@ -502,23 +500,36 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Read a ``save_checkpoint`` file; a malformed one raises ValueError
+    naming ``path`` and, where it applies, the tensor or config key."""
     with open(path, "rb") as fh:
+
+        def read(n: int, what: str) -> bytes:
+            raw = fh.read(n)
+            if len(raw) != n:
+                raise ValueError(f"{path}: file ends inside {what} "
+                                 f"({len(raw)} of {n} bytes)")
+            return raw
+
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        version, hlen = struct.unpack("<II", fh.read(8))
+            raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
+        version, hlen = struct.unpack("<II", read(8, "the header"))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        header = json.loads(read(hlen, "the header").decode("utf-8"))
+        unknown = set(header["config"]) - {f.name for f in fields(ModelConfig)}
+        if unknown:
+            raise ValueError(f"{path}: unknown model config keys {sorted(unknown)}")
         config = ModelConfig(**header["config"])
         tensors: dict[str, Tensor] = {}
         is_extra: dict[str, bool] = {}
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            n_bytes = 8 * int(np.prod(shape)) if shape else 8
-            raw = fh.read(n_bytes)
+            name, shape = entry["name"], tuple(entry["shape"])
+            raw = read(8 * int(np.prod(shape)), f"tensor {name!r}")
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-            t = Tensor(arr, requires_grad=not entry["frozen"])
-            tensors[entry["name"]] = t
-            is_extra[entry["name"]] = entry["extra"]
+            tensors[name] = Tensor(arr, requires_grad=not entry["frozen"])
+            is_extra[name] = entry["extra"]
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last tensor")
     return ModelParams(config=config, tensors=tensors, is_extra=is_extra), header["meta"]

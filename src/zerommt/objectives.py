@@ -251,15 +251,13 @@ def base_teacher_logprobs(
 
 
 def _padded_base_logprobs(
-    frozen_params: ModelParams,
+    params: ModelParams,
     examples: list[BatchExample],
     tmax: int,
     cache: list[np.ndarray] | None,
 ) -> np.ndarray:
-    vocab = frozen_params.config.vocab_size
-    per_ex = cache if cache is not None else base_teacher_logprobs(
-        frozen_params, examples
-    )
+    vocab = params.config.vocab_size
+    per_ex = cache if cache is not None else base_teacher_logprobs(params, examples)
     out = np.zeros((len(examples), tmax, vocab))
     for b, lp in enumerate(per_ex):
         out[b, : lp.shape[0]] = lp
@@ -268,18 +266,16 @@ def _padded_base_logprobs(
 
 def kl_penalty(
     batch: Batch,
-    frozen_params: ModelParams,
     params: ModelParams,
-    kl_mode: str = "full",
     base_lp: list[np.ndarray] | None = None,
 ) -> Tensor:
-    """KL(base || multimodal) per teacher-forced position, token-mean.
+    """KL(base || multimodal) per teacher-forced position, summed over the
+    vocabulary, token-mean.
 
-    ``kl_mode='full'`` sums over the whole vocabulary (the default reading
-    of the divergence); ``'realized'`` keeps only the gold-token term.
-    The base side is evaluated without gradient; the multimodal side sees
-    the unmasked source plus the image and is floored at 1e-12 inside the
-    log.
+    The base is ``params`` with its extras off, evaluated without gradient
+    (or read from ``base_lp``, the ``base_teacher_logprobs`` cache); the
+    multimodal side sees the unmasked source plus the image and is floored
+    at 1e-12 inside the log.
 
     Where an example carries accepted sets (see ``vmlm_loss``), a set of
     several tokens is one outcome of the divergence: the anchor holds the
@@ -287,52 +283,38 @@ def kl_penalty(
     leaves free how the model splits that mass among translations the base
     itself finds plausible. That split is what the image decides.
     """
-    if kl_mode not in ("full", "realized"):
-        raise ValueError(f"unknown kl_mode {kl_mode!r}")
     lp, tgt_out, w = _teacher_forced(batch.examples, params, masked=False,
                                      multimodal=True)
     p_lp = ad.clip_min(lp, np.log(LOG_FLOOR))
-    q_lp = _padded_base_logprobs(frozen_params, batch.examples, tgt_out.shape[1],
-                                 base_lp)
+    q_lp = _padded_base_logprobs(params, batch.examples, tgt_out.shape[1], base_lp)
     q = np.exp(q_lp)
     accept = _accept_mask(batch.examples, tgt_out, q.shape[-1])
-    if kl_mode == "full":
-        # a set of several tokens is one outcome: its tokens leave the sum
-        # and the set's total mass enters it
-        merged = 0.0 if accept is None else (
-            accept * (accept.sum(axis=-1, keepdims=True) > 1)
-        )
-        per_pos = ad.tsum(ad.mul(q * (1.0 - merged), ad.sub(q_lp, p_lp)), axis=-1)
-        if accept is not None:
-            has_set = merged.any(axis=-1)
-            in_set = np.where(has_set[..., None], merged, 1.0)
-            per_pos = ad.add(per_pos, _set_divergence(q, p_lp, in_set, has_set))
-    elif accept is None:
-        q_gold = np.take_along_axis(q, tgt_out[..., None], axis=-1)[..., 0]
-        lq_gold = np.take_along_axis(q_lp, tgt_out[..., None], axis=-1)[..., 0]
-        per_pos = ad.mul(q_gold, ad.sub(lq_gold, ad.gather(p_lp, tgt_out)))
-    else:
-        per_pos = _set_divergence(q, p_lp, accept, 1.0)
+    # a set of several tokens is one outcome: its tokens leave the sum and
+    # the set's total mass enters it
+    merged = 0.0 if accept is None else (
+        accept * (accept.sum(axis=-1, keepdims=True) > 1)
+    )
+    per_pos = ad.tsum(ad.mul(q * (1.0 - merged), ad.sub(q_lp, p_lp)), axis=-1)
+    if accept is not None:
+        # q(S) * (log q(S) - log p(S)) at positions with a set S; elsewhere
+        # the sum runs over the whole vocabulary and is weighted out
+        has_set = merged.any(axis=-1)
+        in_set = np.where(has_set[..., None], merged, 1.0)
+        q_set = (q * in_set).sum(axis=-1)
+        per_pos = ad.add(per_pos, ad.mul(
+            has_set * q_set, ad.sub(np.log(q_set), _log_mass(p_lp, in_set))
+        ))
     return _weighted_token_mean(per_pos, w)
-
-
-def _set_divergence(q: np.ndarray, p_lp: Tensor, accept: np.ndarray, weight) -> Tensor:
-    """weight * q(S) * (log q(S) - log p(S)) per position, S the accepted
-    set; the one-outcome term of the divergence."""
-    q_set = (q * accept).sum(axis=-1)
-    return ad.mul(weight * q_set, ad.sub(np.log(q_set), _log_mass(p_lp, accept)))
 
 
 def combined_loss(
     batch: Batch,
-    frozen_params: ModelParams,
     params: ModelParams,
     weights: LossWeights,
-    kl_mode: str = "full",
     base_lp: list[np.ndarray] | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """total = vmlm + lambda * kl, returned with both parts."""
     vmlm = vmlm_loss(batch, params)
-    kl = kl_penalty(batch, frozen_params, params, kl_mode=kl_mode, base_lp=base_lp)
+    kl = kl_penalty(batch, params, base_lp=base_lp)
     total = ad.add(vmlm, ad.scale(kl, weights.lam))
     return total, vmlm, kl

@@ -35,8 +35,6 @@ class WorldSpec:
     sent_len_max: int = 7
     ambiguity_rate: float = 0.5
     context_cue_rate: float = 0.8
-    # None: captions share context_cue_rate
-    caption_cue_rate: float | None = None
     caption_domain_fraction: float = 1.0
     image_dim: int = 16
     sense_cluster_separation: float = 1.0
@@ -50,9 +48,8 @@ class WorldSpec:
             raise ValueError("n_ambiguous_words must be nonnegative")
         if not 1 <= self.sent_len_min <= self.sent_len_max:
             raise ValueError("bad sentence length range")
-        for name in ("ambiguity_rate", "context_cue_rate", "caption_cue_rate"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
+        for name in ("ambiguity_rate", "context_cue_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0.0 < self.caption_domain_fraction <= 1.0:
             raise ValueError("caption_domain_fraction must be in (0, 1]")
@@ -107,6 +104,12 @@ class World:
                 raise ValueError("ambiguous token needs a sense to translate")
             return self.amb_tgt[tok][sense]
         return None
+
+    def translate(self, src: list[int], sense: int | None) -> list[int]:
+        """The BOS/EOS-wrapped target of ``src`` with its ambiguous word
+        read in ``sense``."""
+        out = (self.translate_token(tok, sense) for tok in src)
+        return [BOS] + [t for t in out if t is not None] + [EOS]
 
     def sense_tokens(self, word: int) -> tuple[int, int]:
         return self.amb_tgt[word]
@@ -200,46 +203,31 @@ def _sample_example(
     world: World,
     ex_id: int,
     rng: np.random.Generator,
-    force_ambiguous: bool = False,
     forbid_ambiguous: bool = False,
-    cue_allowed: bool = True,
     with_image: bool = False,
     caption_domain: bool = False,
-    cue_rate: float | None = None,
 ) -> Example:
     spec = world.spec
-    if cue_rate is None:
-        cue_rate = spec.context_cue_rate
     pool = world.caption_plain_src if caption_domain else world.plain_src
     n = int(rng.integers(spec.sent_len_min, spec.sent_len_max + 1))
     src = [int(rng.choice(pool)) for _ in range(n)]
     word = sense = None
     has_cue = False
-    ambiguous = force_ambiguous or (
-        not forbid_ambiguous
-        and world.has_ambiguity
-        and rng.random() < spec.ambiguity_rate
-    )
-    if ambiguous and world.has_ambiguity:
+    # generate_splits admits only worlds with ambiguous words
+    if not forbid_ambiguous and rng.random() < spec.ambiguity_rate:
         pos = int(rng.integers(n))
         word = int(rng.choice(world.amb_src))
         sense = int(rng.integers(2))
         src[pos] = word
-        if cue_allowed and rng.random() < cue_rate:
+        if rng.random() < spec.context_cue_rate:
             cue_pos = int(rng.integers(n + 1))
             src.insert(cue_pos, world.cue[(word, sense)])
             has_cue = True
-    tgt = [BOS]
-    for tok in src:
-        out = world.translate_token(tok, sense)
-        if out is not None:
-            tgt.append(out)
-    tgt.append(EOS)
     image = None
     if with_image:
         image = world.sample_image(word, sense, rng)
     return Example(
-        id=ex_id, src=src, tgt=tgt, image=image,
+        id=ex_id, src=src, tgt=world.translate(src, sense), image=image,
         amb_word=word, sense=sense, has_cue=has_cue,
     )
 
@@ -253,23 +241,13 @@ def _sample_contrastive(
     pos = int(rng.integers(n))
     word = int(rng.choice(world.amb_src))
     src[pos] = word
-
-    def tgt_for(sense: int) -> list[int]:
-        out = [BOS]
-        for tok in src:
-            t = world.translate_token(tok, sense)
-            if t is not None:
-                out.append(t)
-        out.append(EOS)
-        return out
-
     return ContrastiveInstance(
         id=ex_id,
         src=src,
         img_a=world.sample_image(word, 0, rng),
-        tgt_a=tgt_for(0),
+        tgt_a=world.translate(src, 0),
         img_b=world.sample_image(word, 1, rng),
-        tgt_b=tgt_for(1),
+        tgt_b=world.translate(src, 1),
     )
 
 
@@ -285,8 +263,7 @@ _SPLIT_TAGS = {
 
 def generate_splits(world: World, sizes: SplitSizes) -> Splits:
     sizes.validate()
-    needs_contrastive = sizes.val_contrastive > 0 or sizes.test_contrastive > 0
-    if needs_contrastive and not world.has_ambiguity:
+    if not world.has_ambiguity:
         raise ValueError(
             "no ambiguous words in this world: contrastive sets cannot be built"
         )
@@ -313,16 +290,11 @@ def generate_splits(world: World, sizes: SplitSizes) -> Splits:
             and len(splits.pretrain_parallel) < sizes.pretrain_parallel
         ):
             flipped = 1 - ex.sense
-            twin_tgt = [BOS]
-            for tok in ex.src:
-                out = world.translate_token(tok, flipped)
-                if out is not None:
-                    twin_tgt.append(out)
-            twin_tgt.append(EOS)
             splits.pretrain_parallel.append(
                 Example(
                     id=len(splits.pretrain_parallel), src=list(ex.src),
-                    tgt=twin_tgt, amb_word=ex.amb_word, sense=flipped,
+                    tgt=world.translate(ex.src, flipped), amb_word=ex.amb_word,
+                    sense=flipped,
                 )
             )
     for k in range(sizes.mmt_train):
@@ -330,7 +302,6 @@ def generate_splits(world: World, sizes: SplitSizes) -> Splits:
             _sample_example(
                 world, k, rng_for("mmt_train", k),
                 with_image=True, caption_domain=True,
-                cue_rate=world.spec.caption_cue_rate,
             )
         )
     for k in range(sizes.val_contrastive):

@@ -23,18 +23,24 @@ from . import objectives as obj
 from .objectives import Batch, BatchExample, LossWeights
 
 TRAIN_MODES = ("full", "no_vmlm", "no_kl", "mmt_no_kl")
+BETA1, BETA2, EPS_ADAM = 0.9, 0.99, 1e-8
 
 
 class FreezingViolation(RuntimeError):
     """A gradient arrived for a frozen tensor."""
 
 
+def _validate_schedule(config) -> None:
+    """Checks shared by ``PretrainConfig`` and ``TrainConfig``."""
+    if config.lr <= 0:
+        raise ValueError("learning rate must be positive")
+    if config.batch_size < 1 or config.max_steps < 1:
+        raise ValueError("batch_size and max_steps must be positive")
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps_adam: float = 1e-8
     batch_size: int = 32
     max_steps: int = 600
     seed: int = 0
@@ -42,16 +48,9 @@ class TrainConfig:
     mask_rate: float = 0.25
     eval_every: int = 100
     mode: str = "full"
-    kl_mode: str = "full"
-    beam_width: int = 4
 
     def validate(self) -> None:
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("Adam betas must lie in (0, 1)")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.batch_size < 1 or self.max_steps < 1:
-            raise ValueError("batch_size and max_steps must be positive")
+        _validate_schedule(self)
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
 
@@ -59,12 +58,12 @@ class TrainConfig:
 @dataclass
 class PretrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps_adam: float = 1e-8
     batch_size: int = 32
     max_steps: int = 800
     seed: int = 0
+
+    def validate(self) -> None:
+        _validate_schedule(self)
 
 
 @dataclass
@@ -103,7 +102,7 @@ def adam_step(
     params: ModelParams,
     grads: dict[str, np.ndarray],
     state: AdamState,
-    config,
+    lr: float,
 ) -> None:
     """One bias-corrected Adam update on the trainable tensors."""
     for name in grads:
@@ -111,7 +110,7 @@ def adam_step(
             raise FreezingViolation(f"gradient arrived for frozen tensor {name!r}")
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = BETA1, BETA2
     for name in params.trainable_names():
         g = grads.get(name)
         if g is None:
@@ -124,9 +123,7 @@ def adam_step(
         m_hat = state.m[name] / (1 - b1**t)
         v_hat = state.v[name] / (1 - b2**t)
         tensor = params.tensors[name]
-        tensor.data = tensor.data - config.lr * m_hat / (
-            np.sqrt(v_hat) + config.eps_adam
-        )
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + EPS_ADAM)
 
 
 def clone_params(params: ModelParams) -> ModelParams:
@@ -174,6 +171,7 @@ def pretrain_base(
     """Train the base encoder-decoder on text-only pairs, then freeze it."""
     if not parallel_corpus:
         raise ValueError("empty pretraining corpus")
+    config.validate()
     params = m.build_model(model_config, seed=config.seed)
     params.unfreeze_base()
     state = AdamState()
@@ -193,7 +191,7 @@ def pretrain_base(
             raise RuntimeError(f"pretraining diverged at step {step}: loss={loss.data}")
         ad.backward(loss)
         grads = _collect_grads(params)
-        adam_step(params, grads, state, config)
+        adam_step(params, grads, state, config.lr)
         params.zero_grads()
     params.freeze_base()
     return params
@@ -208,17 +206,14 @@ def _step_losses(
     params: ModelParams,
     weights: LossWeights,
     mode: str,
-    kl_mode: str,
     base_lp: list[np.ndarray],
 ):
     """Return (total Tensor, vmlm float, other float) for one step."""
     if mode == "full":
-        total, vmlm, kl = obj.combined_loss(
-            batch, params, params, weights, kl_mode=kl_mode, base_lp=base_lp
-        )
+        total, vmlm, kl = obj.combined_loss(batch, params, weights, base_lp=base_lp)
         return total, float(vmlm.data), float(kl.data)
     if mode == "no_vmlm":
-        kl = obj.kl_penalty(batch, params, params, kl_mode=kl_mode, base_lp=base_lp)
+        kl = obj.kl_penalty(batch, params, base_lp=base_lp)
         total = ad.scale(kl, weights.lam)
         return total, 0.0, float(kl.data)
     if mode == "no_kl":
@@ -236,15 +231,13 @@ def evaluate_checkpoint(
     params: ModelParams,
     val_contrastive: list,
     val_translation: list,
-    beam_width: int = 4,
 ) -> tuple[float, float, float]:
     """Contrastive accuracy, contrastive margin and BLEU of the current
     multimodal model."""
     report = ev.evaluate_contrastive(ev.MultimodalScorer(params), val_contrastive)
     # with the extras off, ``params`` is the frozen base, which gamma = 1
     # never consults
-    bleu_score = ev.translation_bleu(params, params, val_translation, 1.0,
-                                     beam_width)
+    bleu_score = ev.translation_bleu(params, params, val_translation)
     return (report.contrastive_accuracy, ev.contrastive_margin(report.rows),
             bleu_score)
 
@@ -279,8 +272,7 @@ def train(
 
     def snapshot(step: int) -> Checkpoint:
         acc, margin, bleu_score = evaluate_checkpoint(
-            params, corpus.val_contrastive, corpus.val_translation,
-            beam_width=config.beam_width,
+            params, corpus.val_contrastive, corpus.val_translation
         )
         return Checkpoint(
             step=step, extras=params.copy_extras(),
@@ -299,14 +291,14 @@ def train(
                              mask_set=mask_set, accept=ex.accept)
             )
         total, vmlm_val, other_val = _step_losses(
-            Batch(batch_list), params, weights, config.mode, config.kl_mode,
+            Batch(batch_list), params, weights, config.mode,
             [base_cache[k] for k in idxs],
         )
         if not np.isfinite(total.data):
             raise RuntimeError(f"training diverged at step {step}: loss={total.data}")
         ad.backward(total)
         grads = _collect_grads(params)
-        adam_step(params, grads, state, config)
+        adam_step(params, grads, state, config.lr)
         params.zero_grads()
 
         row = {

@@ -137,11 +137,11 @@ def test_gradients_match_finite_differences(report):
     weights = obj.LossWeights(lam=0.3)
 
     def loss_value():
-        total, _, _ = obj.combined_loss(batch, params, params, weights)
+        total, _, _ = obj.combined_loss(batch, params, weights)
         return float(total.data)
 
     t0 = time.time()
-    total, _, _ = obj.combined_loss(batch, params, params, weights)
+    total, _, _ = obj.combined_loss(batch, params, weights)
     ad.backward(total)
     grads = {n: params.tensors[n].grad.copy() for n in params.trainable_names()}
     params.zero_grads()
@@ -213,9 +213,7 @@ def test_exact_identities(pipeline, runs, report):
         m.decoder_logits(full, enc, ids, np.ones_like(ids, dtype=bool)),
         axis=-1,
     ).data[0]
-    kl_self = abs(obj.kl_penalty(
-        obj.Batch([bex]), full, full, base_lp=[own_lp]
-    ).data)
+    kl_self = abs(obj.kl_penalty(obj.Batch([bex]), full, base_lp=[own_lp]).data)
 
     # blend endpoints and normalization, on real model distributions
     inst = pipeline.splits.test_contrastive[0]

@@ -2,11 +2,13 @@
 stage runs inside one shared run directory and leaves the promised files."""
 
 import json
+import re
 import shutil
 
 import pytest
 
 from zerommt import cli
+from zerommt import evaluation as ev
 from zerommt import model as m
 from zerommt import synthcorpus as sc
 
@@ -147,6 +149,26 @@ def test_eval_text_only_and_guided(run_dir):
     assert (rdir / "eval_rows.csv.meta.json").exists()
 
 
+@pytest.mark.parametrize("flags", [["--gamma", "1.0"], ["--text-only"]],
+                         ids=["gamma1", "text_only"])
+def test_eval_without_guidance_scores_once(run_dir, monkeypatch, flags):
+    # the no-CFG accuracy is the report's own when its scorer is unguided
+    config_path, out = run_dir
+    calls = []
+
+    def counting(scorer, instances, _rows=ev.commute_rows):
+        calls.append(type(scorer).__name__)
+        return _rows(scorer, instances)
+
+    monkeypatch.setattr(ev, "commute_rows", counting)
+    assert cli.main(["eval", "--config", str(config_path), "--out", str(out),
+                     *flags]) == 0
+    assert len(calls) == 1
+    tag = "base" if "--text-only" in flags else "gamma1"
+    report = json.loads((out / f"eval_{tag}" / "eval_report.json").read_text())
+    assert report["contrastive_accuracy_no_cfg"] == report["contrastive_accuracy"]
+
+
 def test_eval_rejects_negative_gamma(run_dir):
     config_path, out = run_dir
     assert cli.main(["eval", "--config", str(config_path), "--out", str(out),
@@ -174,6 +196,36 @@ def test_unknown_config_key_is_rejected(tmp_path):
     bad.write_text(json.dumps({"worlds": {}}))
     assert cli.main(["gen", "--config", str(bad),
                      "--out", str(tmp_path / "out")]) == 1
+
+
+def test_pretrain_rejects_invalid_config(run_dir, tmp_path):
+    _, out = run_dir
+    small = tmp_path / "out"
+    shutil.copytree(out / "corpus", small / "corpus")
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(dict(CONFIG, pretrain={"max_steps": 0})))
+    assert cli.main(["pretrain", "--config", str(config_path),
+                     "--out", str(small)]) == 1
+    assert not (small / "base.ckpt").exists()
+
+
+def test_removed_config_keys_are_rejected(tmp_path):
+    """Keys of settings that became constants fail loudly in old configs."""
+    removed = [
+        ("pretrain", "beta1"), ("pretrain", "beta2"), ("pretrain", "eps_adam"),
+        ("train", "beta1"), ("train", "beta2"), ("train", "eps_adam"),
+        ("train", "kl_mode"), ("train", "beam_width"),
+        ("model", "visual_positional_encoding"), ("world", "caption_cue_rate"),
+        (None, "gamma_list"), (None, "lambda_list"),
+    ]
+    path = tmp_path / "old.json"
+    for section, key in removed:
+        path.write_text(json.dumps(
+            {key: 1} if section is None else {section: {key: 1}}))
+        where = "config" if section is None else f"config.{section}"
+        message = f"unknown config keys at {where}: ['{key}']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.load_config(str(path), None)
 
 
 def test_seed_override_reaches_all_stages(tmp_path):

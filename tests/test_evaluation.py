@@ -99,12 +99,14 @@ def _instance(k=0):
 
 
 def test_contrastive_score_strict_inequality():
+    """A row scores 1 only when the correct translation's perplexity is
+    strictly lower; a tie scores 0 in both orientations."""
     good = _two_target_scorer(0.9, 0.1, image_sensitive=True)
-    assert ev.contrastive_score(good, [4], np.zeros(2),
-                                [m.BOS, 5, m.EOS], [m.BOS, 6, m.EOS]) == 1
+    assert [r.score for r in ev.commute_rows(good, [_instance()])] == [1, 1]
     tied = _two_target_scorer(0.5, 0.5, image_sensitive=False)
-    assert ev.contrastive_score(tied, [4], np.zeros(2),
-                                [m.BOS, 5, m.EOS], [m.BOS, 6, m.EOS]) == 0
+    rows = ev.commute_rows(tied, [_instance()])
+    assert all(r.ppl_correct == r.ppl_wrong for r in rows)
+    assert [r.score for r in rows] == [0, 0]
 
 
 def test_image_sensitive_scorer_scores_100():

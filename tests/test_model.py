@@ -2,6 +2,9 @@
 attention masking, source masking, and the checkpoint format."""
 
 import dataclasses
+import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -213,6 +216,35 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         m.load_checkpoint(path)
+
+
+def _with_config_key(key):
+    def corrupt(raw: bytes) -> bytes:
+        version, hlen = struct.unpack("<II", raw[4:12])
+        header = json.loads(raw[12:12 + hlen])
+        header["config"][key] = False
+        blob = json.dumps(header).encode("utf-8")
+        return (raw[:4] + struct.pack("<II", version, len(blob)) + blob
+                + raw[12 + hlen:])
+
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: raw[:10], "file ends inside the header"),
+    (lambda raw: raw[:-4], "file ends inside tensor 'proj.b'"),
+    (lambda raw: raw + b"\x00", "trailing bytes after the last tensor"),
+    (_with_config_key("visual_positional_encoding"),
+     "unknown model config keys ['visual_positional_encoding']"),
+], ids=["cut_header", "cut_payload", "trailing_bytes", "unknown_config_key"])
+def test_checkpoint_rejects_malformed_file(tiny_params, tmp_path, corrupt,
+                                           message):
+    path = tmp_path / "model.ckpt"
+    m.save_checkpoint(path, tiny_params)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        m.load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 def test_base_bytes_tracks_only_base(tiny_params):

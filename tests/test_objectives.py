@@ -61,7 +61,7 @@ def test_losses_reject_empty_batch(tiny_params):
         with pytest.raises(ValueError):
             fn(Batch([]), tiny_params)
     with pytest.raises(ValueError):
-        obj.kl_penalty(Batch([]), tiny_params, tiny_params)
+        obj.kl_penalty(Batch([]), tiny_params)
 
 
 def test_image_losses_require_images(tiny_params):
@@ -146,7 +146,7 @@ def test_kl_matches_manual_full_vocab_sum(tiny_params):
         np.log(obj.LOG_FLOOR),
     )
     want = (np.exp(q_lp) * (q_lp - p_lp)).sum(axis=-1).mean()
-    got = obj.kl_penalty(Batch([ex]), tiny_params, tiny_params).data
+    got = obj.kl_penalty(Batch([ex]), tiny_params).data
     assert abs(got - want) < 1e-12
 
 
@@ -156,49 +156,23 @@ def test_kl_of_distribution_with_itself_is_zero(tiny_params):
     m.randomize_extras(tiny_params, seed=12)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=13)
     own = [_manual_logprobs(tiny_params, ex.src, ex.tgt, ex.image)]
-    kl = obj.kl_penalty(Batch([ex]), tiny_params, tiny_params, base_lp=own)
+    kl = obj.kl_penalty(Batch([ex]), tiny_params, base_lp=own)
     assert abs(kl.data) < 1e-10
 
 
 def test_kl_is_nonnegative_and_positive_when_models_differ(tiny_params):
     m.randomize_extras(tiny_params, seed=14)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=15)
-    kl = obj.kl_penalty(Batch([ex]), tiny_params, tiny_params).data
+    kl = obj.kl_penalty(Batch([ex]), tiny_params).data
     assert kl > 0.0
-
-
-def test_kl_realized_mode_matches_manual(tiny_params):
-    m.randomize_extras(tiny_params, seed=16)
-    ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=17)
-    q_lp = obj.base_teacher_logprobs(tiny_params, [ex])[0]
-    p_lp = np.maximum(
-        _manual_logprobs(tiny_params, ex.src, ex.tgt, ex.image),
-        np.log(obj.LOG_FLOOR),
-    )
-    gold = np.asarray(ex.tgt[1:])
-    rows = np.arange(len(gold))
-    want = (np.exp(q_lp[rows, gold])
-            * (q_lp[rows, gold] - p_lp[rows, gold])).mean()
-    got = obj.kl_penalty(
-        Batch([ex]), tiny_params, tiny_params, kl_mode="realized"
-    ).data
-    assert abs(got - want) < 1e-12
-
-
-def test_kl_rejects_unknown_mode(tiny_params):
-    ex = _ex(tiny_params, [5], [6], seed=18)
-    with pytest.raises(ValueError):
-        obj.kl_penalty(Batch([ex]), tiny_params, tiny_params, kl_mode="both")
 
 
 def test_kl_cache_path_equals_recompute_path(tiny_params):
     m.randomize_extras(tiny_params, seed=19)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=20)
     cache = obj.base_teacher_logprobs(tiny_params, [ex])
-    direct = obj.kl_penalty(Batch([ex]), tiny_params, tiny_params).data
-    cached = obj.kl_penalty(
-        Batch([ex]), tiny_params, tiny_params, base_lp=cache
-    ).data
+    direct = obj.kl_penalty(Batch([ex]), tiny_params).data
+    cached = obj.kl_penalty(Batch([ex]), tiny_params, base_lp=cache).data
     assert direct == cached
 
 
@@ -210,18 +184,14 @@ def test_combined_loss_is_exact_sum(tiny_params):
     m.randomize_extras(tiny_params, seed=21)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=22, mask_set=(1,))
     weights = LossWeights(lam=0.3)
-    total, vmlm, kl = obj.combined_loss(
-        Batch([ex]), tiny_params, tiny_params, weights
-    )
+    total, vmlm, kl = obj.combined_loss(Batch([ex]), tiny_params, weights)
     assert total.data == vmlm.data + 0.3 * kl.data
 
 
 def test_gradients_reach_only_extras(tiny_params):
     m.randomize_extras(tiny_params, seed=23)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=24, mask_set=(0,))
-    total, _, _ = obj.combined_loss(
-        Batch([ex]), tiny_params, tiny_params, LossWeights()
-    )
+    total, _, _ = obj.combined_loss(Batch([ex]), tiny_params, LossWeights())
     ad.backward(total)
     for name in tiny_params.base_names():
         assert tiny_params.tensors[name].grad is None, name
@@ -321,9 +291,9 @@ def test_kl_merges_multi_token_sets_into_one_outcome(tiny_params):
     m.randomize_extras(tiny_params, seed=31)
     v = tiny_params.config.vocab_size
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=32)
-    plain_full = obj.kl_penalty(Batch([ex]), tiny_params, tiny_params).data
+    plain_full = obj.kl_penalty(Batch([ex]), tiny_params).data
     ex.accept = _accept(ex.tgt, v)
-    assert obj.kl_penalty(Batch([ex]), tiny_params, tiny_params).data == plain_full
+    assert obj.kl_penalty(Batch([ex]), tiny_params).data == plain_full
 
     ex.accept = _accept(ex.tgt, v, extra=[(0, 10), (0, 11)])
     q_lp = obj.base_teacher_logprobs(tiny_params, [ex])[0]
@@ -342,23 +312,11 @@ def test_kl_merges_multi_token_sets_into_one_outcome(tiny_params):
         full_rows[1],
         full_rows[2],
     ])
-    got = obj.kl_penalty(Batch([ex]), tiny_params, tiny_params).data
+    got = obj.kl_penalty(Batch([ex]), tiny_params).data
     assert abs(got - want_full) < 1e-12
 
-    gold = np.asarray(ex.tgt[1:])
-    realized_rows = q[[1, 2], gold[1:]] * (q_lp[[1, 2], gold[1:]]
-                                          - p_lp[[1, 2], gold[1:]])
-    want_realized = np.mean([q_s * (np.log(q_s) - np.log(p_s)), *realized_rows])
-    got = obj.kl_penalty(
-        Batch([ex]), tiny_params, tiny_params, kl_mode="realized"
-    ).data
-    assert abs(got - want_realized) < 1e-12
 
-
-@pytest.mark.parametrize("kl_mode", ["full", "realized"])
-def test_loss_with_accept_sets_gradient_matches_finite_differences(
-    tiny_params, kl_mode
-):
+def test_loss_with_accept_sets_gradient_matches_finite_differences(tiny_params):
     m.randomize_extras(tiny_params, seed=33)
     v = tiny_params.config.vocab_size
     ex1 = _ex(tiny_params, [5, 6, 7], [8, 9], seed=34, mask_set=(1,))
@@ -368,14 +326,10 @@ def test_loss_with_accept_sets_gradient_matches_finite_differences(
     weights = LossWeights(lam=0.7)
 
     def value():
-        total, _, _ = obj.combined_loss(
-            batch, tiny_params, tiny_params, weights, kl_mode=kl_mode
-        )
+        total, _, _ = obj.combined_loss(batch, tiny_params, weights)
         return float(total.data)
 
-    total, _, _ = obj.combined_loss(
-        batch, tiny_params, tiny_params, weights, kl_mode=kl_mode
-    )
+    total, _, _ = obj.combined_loss(batch, tiny_params, weights)
     ad.backward(total)
     eps = 1e-6
     worst = 0.0

@@ -35,13 +35,13 @@ def _scalar_params(tiny_config, value=1.0, trainable=True):
 def test_adam_matches_scalar_oracle(tiny_config):
     """Three updates on one scalar parameter, checked against a hand-rolled
     bias-corrected Adam."""
-    config = TrainConfig(lr=0.1, beta1=0.9, beta2=0.99, eps_adam=1e-8)
+    assert (tr.BETA1, tr.BETA2, tr.EPS_ADAM) == (0.9, 0.99, 1e-8)
     params = _scalar_params(tiny_config, value=1.0)
     state = AdamState()
     x = 1.0
     mm = vv = 0.0
     for t, g in enumerate([0.5, -1.5, 2.0], start=1):
-        tr.adam_step(params, {"x": np.array([g])}, state, config)
+        tr.adam_step(params, {"x": np.array([g])}, state, 0.1)
         mm = 0.9 * mm + 0.1 * g
         vv = 0.99 * vv + 0.01 * g * g
         m_hat = mm / (1 - 0.9**t)
@@ -54,25 +54,28 @@ def test_adam_matches_scalar_oracle(tiny_config):
 def test_adam_rejects_gradient_for_frozen_tensor(tiny_config):
     params = _scalar_params(tiny_config, trainable=False)
     with pytest.raises(FreezingViolation):
-        tr.adam_step(params, {"x": np.array([1.0])}, AdamState(), TrainConfig())
+        tr.adam_step(params, {"x": np.array([1.0])}, AdamState(), 1e-3)
 
 
 def test_adam_skips_params_without_gradient(tiny_config):
     params = _scalar_params(tiny_config, value=2.0)
-    tr.adam_step(params, {}, AdamState(), TrainConfig())
+    tr.adam_step(params, {}, AdamState(), 1e-3)
     assert params.tensors["x"].data[0] == 2.0
 
 
 def test_train_config_validation():
     for bad in (
         dict(lr=0.0),
-        dict(beta1=1.0),
         dict(batch_size=0),
         dict(mode="nope"),
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad).validate()
     TrainConfig().validate()
+    for bad in (dict(lr=-1.0), dict(batch_size=0), dict(max_steps=0)):
+        with pytest.raises(ValueError):
+            PretrainConfig(**bad).validate()
+    PretrainConfig().validate()
 
 
 # ---------------------------------------------------------------------------
