@@ -45,10 +45,10 @@ def main() -> None:
 
     print(f"{'gamma':>6} {'contrastive':>12} {'bleu':>8}")
     for gamma in GAMMAS:
-        acc = ev.commute_accuracy(ev.make_scorer(base, result.params, gamma),
+        acc = ev.commute_accuracy(ev.make_scorer(result.params, gamma),
                                   splits.test_contrastive)
-        bleu = ev.translation_bleu(base, result.params,
-                                   splits.test_translation, gamma)
+        bleu = ev.translation_bleu(result.params, splits.test_translation,
+                                   gamma)
         print(f"{gamma:>6.1f} {acc:>12.2f} {bleu:>8.2f}")
     print(f"\ntotal {time.time() - t0:.0f}s")
 

@@ -42,7 +42,7 @@ def main() -> None:
         model.ModelConfig(),
         training.PretrainConfig(max_steps=400),
     )
-    base_acc = ev.commute_accuracy(ev.make_scorer(base, None),
+    base_acc = ev.commute_accuracy(ev.make_scorer(base, 0.0),
                                    splits.test_contrastive)
     print(f"frozen base: contrastive accuracy {base_acc:.1f} "
           f"(image-blind, so chance)   [{time.time() - t0:.0f}s]")
@@ -71,9 +71,9 @@ def main() -> None:
 
     # 5. The adapted model reads the image; guidance (gamma > 1) pushes
     # further away from the image-blind base at decoding time.
-    acc_mm = ev.commute_accuracy(ev.make_scorer(base, result.params),
+    acc_mm = ev.commute_accuracy(ev.make_scorer(result.params),
                                  splits.test_contrastive)
-    acc_guided = ev.commute_accuracy(ev.make_scorer(base, result.params, 2.0),
+    acc_guided = ev.commute_accuracy(ev.make_scorer(result.params, 2.0),
                                      splits.test_contrastive)
     print(f"test contrastive accuracy: base {base_acc:.1f} -> "
           f"adapted {acc_mm:.1f} -> guided (gamma=2) {acc_guided:.1f}")
@@ -81,7 +81,7 @@ def main() -> None:
     # one concrete example: same source, two images, two translations
     inst = splits.test_contrastive[0]
     for label, img in (("image A", inst.img_a), ("image B", inst.img_b)):
-        hyp = decoding.translate(base, result.params, inst.src, img, 2.0)
+        hyp = decoding.translate(result.params, inst.src, img, 2.0)
         print(f"  src {inst.src} + {label} -> {list(hyp.tokens)}")
     print(f"done in {time.time() - t0:.0f}s")
 

@@ -69,14 +69,14 @@ def measure(seed: int, replacement_lam: float | None = None) -> dict:
     )
     test_c, test_t = splits.test_contrastive, splits.test_translation
 
-    def bleu(mm, gamma=1.0):
-        return ev.translation_bleu(base, mm, test_t, gamma, acc.BEAM_WIDTH)
+    def bleu(params, gamma=1.0):
+        return ev.translation_bleu(params, test_t, gamma, acc.BEAM_WIDTH)
 
     out = {
         "seed": seed,
         "base_sha": hashlib.sha256(base.base_bytes()).hexdigest()[:8],
         "rows": 2 * len(test_c),
-        "base_bleu": bleu(None),
+        "base_bleu": bleu(base, 0.0),
     }
     models = {}
     for mode in tr.TRAIN_MODES:
@@ -85,7 +85,7 @@ def measure(seed: int, replacement_lam: float | None = None) -> dict:
         models[mode] = result.params
         out[f"{mode}_step"] = result.best.step
         out[f"{mode}_acc"] = ev.commute_accuracy(
-            ev.make_scorer(base, result.params), test_c
+            ev.make_scorer(result.params), test_c
         )
         out[f"{mode}_bleu"] = bleu(result.params)
     if replacement_lam is not None:
@@ -95,11 +95,11 @@ def measure(seed: int, replacement_lam: float | None = None) -> dict:
         out["replacement_lam"] = replacement_lam
         out["mmt_no_kl_lam_step"] = result.best.step
         out["mmt_no_kl_lam_acc"] = ev.commute_accuracy(
-            ev.make_scorer(base, result.params), test_c
+            ev.make_scorer(result.params), test_c
         )
     for gamma in acc.GAMMA_GRID[1:]:
         out[f"acc_g{gamma:g}"] = ev.commute_accuracy(
-            ev.make_scorer(base, models["full"], gamma), test_c
+            ev.make_scorer(models["full"], gamma), test_c
         )
     out["acc_g1"] = out["full_acc"]
     out["bleu_g3"] = bleu(models["full"], 3.0)

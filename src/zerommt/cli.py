@@ -45,9 +45,7 @@ class RunConfig:
 
 
 def _fill_dataclass(cls, obj: dict, path: str):
-    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown config keys at {path}: {sorted(unknown)}")
+    m.reject_unknown_keys(cls, obj, f"unknown config keys at {path}:")
     kwargs = {}
     for key, value in obj.items():
         if isinstance(value, dict):
@@ -110,8 +108,11 @@ def _corpus_dir(out: Path) -> Path:
 
 
 def _load_world(out: Path) -> sc.World:
-    payload = json.loads((_corpus_dir(out) / "world.json").read_text())
-    return sc.world_from_dict(payload["world"])
+    path = _corpus_dir(out) / "world.json"
+    try:
+        return sc.world_from_dict(json.loads(path.read_text())["world"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _load_split_examples(out: Path, name: str) -> list[sc.Example]:
@@ -224,8 +225,7 @@ def cmd_train(config: RunConfig, out: Path, mode: str) -> None:
 
 
 def _sense_accuracy(
-    base: m.ModelParams,
-    mm: m.ModelParams | None,
+    params: m.ModelParams,
     world: sc.World,
     instances: list[ev.ContrastiveInstance],
     gamma: float,
@@ -236,7 +236,7 @@ def _sense_accuracy(
     for inst in instances:
         word = next(t for t in inst.src if t in world.amb_tgt)
         for sense, img in ((0, inst.img_a), (1, inst.img_b)):
-            hyp = decoding.translate(base, mm, inst.src, img, gamma, width, space)
+            hyp = decoding.translate(params, inst.src, img, gamma, width, space)
             want = world.sense_tokens(word)[sense]
             hits += int(want in hyp.tokens)
             total += 1
@@ -257,22 +257,24 @@ def cmd_eval(
     gamma: float,
     text_only: bool,
 ) -> None:
-    base = _load_base(out)
     world = _load_world(out)
     instances = _load_split_contrastive(out, "test_contrastive")
     translation = _load_split_examples(out, "test_translation")
     width, space = config.eval_beam_width, config.cfg_space
-    mm = None if text_only else _load_mm(out, ckpt)
+    # the text-only report evaluates the frozen base at gamma = 0 and keeps
+    # the --gamma it was given
+    params = _load_base(out) if text_only else _load_mm(out, ckpt)
+    eval_gamma = 0.0 if text_only else gamma
     tag = "base" if text_only else f"gamma{gamma:g}"
 
-    scorer = ev.make_scorer(base, mm, gamma, space)
+    scorer = ev.make_scorer(params, eval_gamma, space)
     report = ev.evaluate_contrastive(scorer, instances)
-    report.bleu = ev.translation_bleu(base, mm, translation, gamma, width, space)
-    # without guidance, the report's scorer is already the plain one
-    plain_acc = (ev.commute_accuracy(ev.make_scorer(base, mm), instances)
-                 if isinstance(scorer, ev.CfgScorer)
-                 else report.contrastive_accuracy)
-    sense_acc = _sense_accuracy(base, mm, world, instances, gamma, width, space)
+    report.bleu = ev.translation_bleu(params, translation, eval_gamma, width,
+                                      space)
+    # the no-CFG accuracy is the multimodal model's (the base's when text-only)
+    plain_acc = (report.contrastive_accuracy if text_only or eval_gamma == 1.0
+                 else ev.commute_accuracy(ev.make_scorer(params), instances))
+    sense_acc = _sense_accuracy(params, world, instances, eval_gamma, width, space)
 
     run_dir = out / f"eval_{tag}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -307,7 +309,6 @@ def cmd_sweep(
 ) -> None:
     if not values:
         raise ValueError("sweep needs at least one value")
-    base = _load_base(out)
     instances = _load_split_contrastive(out, "test_contrastive")
     translation = _load_split_examples(out, "test_translation")
     width, space = config.eval_beam_width, config.cfg_space
@@ -316,18 +317,18 @@ def cmd_sweep(
     if param == "gamma":
         mm = _load_mm(out, ckpt)
         for gamma in values:
-            acc = ev.commute_accuracy(ev.make_scorer(base, mm, gamma, space),
-                                      instances)
+            acc = ev.commute_accuracy(ev.make_scorer(mm, gamma, space), instances)
             rows.append((gamma, acc, ev.translation_bleu(
-                base, mm, translation, gamma, width, space)))
+                mm, translation, gamma, width, space)))
     elif param == "lambda":
+        base = _load_base(out)
         data = _train_data(out, config)
         for lam in values:
             train_config = dataclasses.replace(config.train, lam=lam, mode="full")
             mm = tr.train(train_config, data, base).params
-            acc = ev.commute_accuracy(ev.make_scorer(base, mm), instances)
+            acc = ev.commute_accuracy(ev.make_scorer(mm), instances)
             rows.append((lam, acc, ev.translation_bleu(
-                base, mm, translation, 1.0, width, space)))
+                mm, translation, 1.0, width, space)))
     else:
         raise ValueError(f"unknown sweep parameter {param!r}")
 

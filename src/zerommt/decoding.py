@@ -6,7 +6,9 @@ so the output stays a valid distribution for every gamma while the
 gamma=0 and gamma=1 endpoints reproduce the inputs exactly. A clipped
 probability-space variant is available behind ``space='prob_clip'``.
 ``translate`` is the one place that picks the text-only base, the
-multimodal model or the guidance blend for a sentence.
+multimodal model or the guidance blend for a sentence, from gamma alone:
+the base is the model with its extras off, so the two ends of the blend
+always come from one set of weights.
 """
 
 from __future__ import annotations
@@ -170,21 +172,20 @@ def cfg_beam_search(
 
 
 def translate(
-    base_params: ModelParams,
-    mm_params: ModelParams | None,
+    params: ModelParams,
     source: list[int],
     image: np.ndarray | None,
     gamma: float = 1.0,
     width: int = 4,
     space: str = "log",
 ) -> Hypothesis:
-    """Translate one sentence: with the text-only base when ``mm_params``
-    is None (the image is ignored), with plain beam search on the
-    multimodal model at gamma = 1, else with guided beam search."""
-    if mm_params is None:
-        return beam_search(base_params, source, image=None, width=width,
+    """Translate one sentence with ``params``: its text-only base (extras
+    off, image ignored) at gamma = 0, the multimodal model at gamma = 1,
+    else the guidance blend of the two."""
+    if gamma == 0.0:
+        return beam_search(params, source, image=None, width=width,
                            use_extras=False)
     if gamma == 1.0:
-        return beam_search(mm_params, source, image=image, width=width)
-    return cfg_beam_search(base_params, mm_params, source, image, gamma,
+        return beam_search(params, source, image=image, width=width)
+    return cfg_beam_search(params, params, source, image, gamma,
                            width=width, space=space)

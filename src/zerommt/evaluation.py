@@ -4,8 +4,8 @@ A scorer is anything that maps (source, image, target) to per-position
 next-token distributions under teacher forcing. Three scorers are
 provided: the frozen text-only base (image-blind), the multimodal model,
 and a guidance blend of the two. ``make_scorer`` picks one from the same
-(base, multimodal model or None, gamma) keys as ``decoding.translate``,
-and ``translation_bleu`` scores that dispatcher's translations.
+(model, gamma) keys as ``decoding.translate``, and ``translation_bleu``
+scores that dispatcher's translations.
 """
 
 from __future__ import annotations
@@ -124,20 +124,16 @@ class CfgScorer:
         )
 
 
-def make_scorer(
-    base: ModelParams,
-    mm: ModelParams | None,
-    gamma: float = 1.0,
-    space: str = "log",
-):
-    """The scorer of ``decoding.translate``'s keys: the text-only base when
-    ``mm`` is None, the multimodal model at gamma = 1, else the guidance
+def make_scorer(params: ModelParams, gamma: float = 1.0, space: str = "log"):
+    """The scorer of ``decoding.translate``'s keys: ``params``' text-only
+    base at gamma = 0, the multimodal model at gamma = 1, else the guidance
     blend of the two."""
-    if mm is None:
-        return TextOnlyScorer(base)
+    if gamma == 0.0:
+        return TextOnlyScorer(params)
     if gamma == 1.0:
-        return MultimodalScorer(mm)
-    return CfgScorer(TextOnlyScorer(base), MultimodalScorer(mm), gamma, space)
+        return MultimodalScorer(params)
+    return CfgScorer(TextOnlyScorer(params), MultimodalScorer(params), gamma,
+                     space)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +259,7 @@ def bleu(hypotheses, references, max_n: int = 4) -> float:
 
 
 def translation_bleu(
-    base: ModelParams,
-    mm: ModelParams | None,
+    params: ModelParams,
     examples,
     gamma: float = 1.0,
     width: int = 4,
@@ -273,7 +268,7 @@ def translation_bleu(
     """Corpus BLEU of ``decoding.translate`` over ``examples`` (anything
     with ``src``, ``image`` and a BOS/EOS-wrapped ``tgt``)."""
     hyps = [
-        list(translate(base, mm, ex.src, ex.image, gamma, width, space).tokens)
+        list(translate(params, ex.src, ex.image, gamma, width, space).tokens)
         for ex in examples
     ]
     return bleu(hyps, [ex.tgt[1:-1] for ex in examples])

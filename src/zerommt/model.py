@@ -474,6 +474,14 @@ def apply_source_mask(
 # checkpoint format: magic, version, JSON header, raw little-endian float64
 
 
+def reject_unknown_keys(cls, obj: dict, message: str) -> None:
+    """Raise ValueError, ``message`` followed by the sorted keys, if ``obj``
+    has keys that are not fields of the dataclass ``cls``."""
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"{message} {sorted(unknown)}")
+
+
 def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None:
     names = list(params.tensors)
     header = {
@@ -518,9 +526,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         header = json.loads(read(hlen, "the header").decode("utf-8"))
-        unknown = set(header["config"]) - {f.name for f in fields(ModelConfig)}
-        if unknown:
-            raise ValueError(f"{path}: unknown model config keys {sorted(unknown)}")
+        reject_unknown_keys(ModelConfig, header["config"],
+                            f"{path}: unknown model config keys")
         config = ModelConfig(**header["config"])
         tensors: dict[str, Tensor] = {}
         is_extra: dict[str, bool] = {}

@@ -10,6 +10,8 @@ can confirm), so the image is free to pick among them.
 The KL term anchors the multimodal model's next-token distributions to the
 frozen base model's, computed on the unmasked source. Both reduce to a
 mean over target tokens so the mixing weight transfers across lengths.
+``adaptation_loss`` composes them for every training mode, the ablations
+included.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ LOG_FLOOR = 1e-12
 # tokens at least this fraction as probable under the frozen base as the
 # pseudo-target token form its accepted set (see accepted_tokens)
 ACCEPT_RATIO = 0.2
+# training mode -> (masked-source VMLM term on, anchor): the KL to the frozen
+# base, plain NLL on the (pseudo-)targets, or none
+ADAPTATION_MODES = {
+    "full": (True, "kl"),
+    "no_vmlm": (False, "kl"),
+    "no_kl": (True, None),
+    "mmt_no_kl": (True, "nll"),
+}
 
 
 @dataclass
@@ -78,15 +88,6 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.examples)
-
-
-@dataclass
-class LossWeights:
-    lam: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
 
 
 def _pad_sources(
@@ -307,14 +308,25 @@ def kl_penalty(
     return _weighted_token_mean(per_pos, w)
 
 
-def combined_loss(
+def adaptation_loss(
     batch: Batch,
     params: ModelParams,
-    weights: LossWeights,
+    mode: str,
+    lam: float,
     base_lp: list[np.ndarray] | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """total = vmlm + lambda * kl, returned with both parts."""
-    vmlm = vmlm_loss(batch, params)
-    kl = kl_penalty(batch, params, base_lp=base_lp)
-    total = ad.add(vmlm, ad.scale(kl, weights.lam))
-    return total, vmlm, kl
+) -> tuple[Tensor, Tensor | None, Tensor | None]:
+    """The training objective of ``mode`` (see ``ADAPTATION_MODES``):
+    vmlm + lam * anchor, lam * anchor without the masked-source term, or
+    vmlm alone without an anchor. Returned with both parts, None where a
+    part is off."""
+    vmlm_on, anchor_kind = ADAPTATION_MODES[mode]
+    vmlm = vmlm_loss(batch, params) if vmlm_on else None
+    if anchor_kind == "kl":
+        anchor = kl_penalty(batch, params, base_lp=base_lp)
+    elif anchor_kind == "nll":
+        anchor = mmt_loss(batch, params)
+    else:
+        return vmlm, vmlm, None
+    weighted = ad.scale(anchor, lam)
+    total = weighted if vmlm is None else ad.add(vmlm, weighted)
+    return total, vmlm, anchor

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .evaluation import ContrastiveInstance
-from .model import BOS, EOS, SPECIAL_TOKENS, ModelParams
+from .model import BOS, EOS, SPECIAL_TOKENS, ModelParams, reject_unknown_keys
 from . import decoding
 
 N_SPECIALS = len(SPECIAL_TOKENS)
@@ -504,6 +504,7 @@ def world_to_dict(world: World) -> dict:
 
 
 def world_from_dict(obj: dict) -> World:
+    reject_unknown_keys(WorldSpec, obj["spec"], "unknown world spec keys")
     cue = {}
     for key, c in obj["cue"].items():
         w, s = key.split(":")

@@ -11,6 +11,7 @@ Everything is a deterministic function of (config, corpus, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +21,9 @@ from . import evaluation as ev
 from . import model as m
 from .model import ModelParams
 from . import objectives as obj
-from .objectives import Batch, BatchExample, LossWeights
+from .objectives import Batch, BatchExample
 
-TRAIN_MODES = ("full", "no_vmlm", "no_kl", "mmt_no_kl")
+TRAIN_MODES = tuple(obj.ADAPTATION_MODES)
 BETA1, BETA2, EPS_ADAM = 0.9, 0.99, 1e-8
 
 
@@ -53,6 +54,12 @@ class TrainConfig:
         _validate_schedule(self)
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
+        if not 0.0 <= self.mask_rate <= 1.0:
+            raise ValueError(f"mask_rate must be in [0, 1], got {self.mask_rate}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be positive, got {self.eval_every}")
 
 
 @dataclass
@@ -201,32 +208,6 @@ def pretrain_base(
 # adaptation (extras only)
 
 
-def _step_losses(
-    batch: Batch,
-    params: ModelParams,
-    weights: LossWeights,
-    mode: str,
-    base_lp: list[np.ndarray],
-):
-    """Return (total Tensor, vmlm float, other float) for one step."""
-    if mode == "full":
-        total, vmlm, kl = obj.combined_loss(batch, params, weights, base_lp=base_lp)
-        return total, float(vmlm.data), float(kl.data)
-    if mode == "no_vmlm":
-        kl = obj.kl_penalty(batch, params, base_lp=base_lp)
-        total = ad.scale(kl, weights.lam)
-        return total, 0.0, float(kl.data)
-    if mode == "no_kl":
-        vmlm = obj.vmlm_loss(batch, params)
-        return vmlm, float(vmlm.data), 0.0
-    if mode == "mmt_no_kl":
-        vmlm = obj.vmlm_loss(batch, params)
-        mmt = obj.mmt_loss(batch, params)
-        total = ad.add(vmlm, ad.scale(mmt, weights.lam))
-        return total, float(vmlm.data), float(mmt.data)
-    raise ValueError(f"unknown training mode {mode!r}")
-
-
 def evaluate_checkpoint(
     params: ModelParams,
     val_contrastive: list,
@@ -235,9 +216,7 @@ def evaluate_checkpoint(
     """Contrastive accuracy, contrastive margin and BLEU of the current
     multimodal model."""
     report = ev.evaluate_contrastive(ev.MultimodalScorer(params), val_contrastive)
-    # with the extras off, ``params`` is the frozen base, which gamma = 1
-    # never consults
-    bleu_score = ev.translation_bleu(params, params, val_translation)
+    bleu_score = ev.translation_bleu(params, val_translation)
     return (report.contrastive_accuracy, ev.contrastive_margin(report.rows),
             bleu_score)
 
@@ -254,7 +233,6 @@ def train(
     params = clone_params(frozen_base)
     params.freeze_base()
     m.reinit_extras(params, seed=config.seed)
-    weights = LossWeights(lam=config.lam)
     examples = corpus.mmt_train
 
     batch_examples = [
@@ -290,9 +268,9 @@ def train(
                 BatchExample(src=ex.src, tgt=ex.tgt, image=ex.image,
                              mask_set=mask_set, accept=ex.accept)
             )
-        total, vmlm_val, other_val = _step_losses(
-            Batch(batch_list), params, weights, config.mode,
-            [base_cache[k] for k in idxs],
+        total, vmlm, anchor = obj.adaptation_loss(
+            Batch(batch_list), params, config.mode, config.lam,
+            base_lp=[base_cache[k] for k in idxs],
         )
         if not np.isfinite(total.data):
             raise RuntimeError(f"training diverged at step {step}: loss={total.data}")
@@ -303,8 +281,8 @@ def train(
 
         row = {
             "step": step,
-            "vmlm": vmlm_val,
-            "kl": other_val,
+            "vmlm": 0.0 if vmlm is None else float(vmlm.data),
+            "kl": 0.0 if anchor is None else float(anchor.data),
             "total": float(total.data),
             "val_contrastive": "",
             "val_bleu": "",

@@ -95,14 +95,15 @@ def ablation(pipeline, runs):
     results, train_seconds = runs
     test_c = pipeline.splits.test_contrastive
     test_t = pipeline.splits.test_translation
-    models = {"base": None}
-    models.update((mode, result.params) for mode, result in results.items())
+    models = {"base": (pipeline.base, 0.0)}
+    models.update((mode, (result.params, 1.0))
+                  for mode, result in results.items())
     metrics = {
         name: (
-            ev.commute_accuracy(ev.make_scorer(pipeline.base, mm), test_c),
-            ev.translation_bleu(pipeline.base, mm, test_t, width=BEAM_WIDTH),
+            ev.commute_accuracy(ev.make_scorer(params, gamma), test_c),
+            ev.translation_bleu(params, test_t, gamma, width=BEAM_WIDTH),
         )
-        for name, mm in models.items()
+        for name, (params, gamma) in models.items()
     }
     return metrics, train_seconds
 
@@ -134,14 +135,13 @@ def test_gradients_match_finite_differences(report):
         obj.BatchExample(src=[10, 11], tgt=[m.BOS, 12, m.EOS],
                          image=img(4), mask_set=(0,)),
     ])
-    weights = obj.LossWeights(lam=0.3)
 
     def loss_value():
-        total, _, _ = obj.combined_loss(batch, params, weights)
+        total, _, _ = obj.adaptation_loss(batch, params, "full", 0.3)
         return float(total.data)
 
     t0 = time.time()
-    total, _, _ = obj.combined_loss(batch, params, weights)
+    total, _, _ = obj.adaptation_loss(batch, params, "full", 0.3)
     ad.backward(total)
     grads = {n: params.tensors[n].grad.copy() for n in params.trainable_names()}
     params.zero_grads()
@@ -414,14 +414,12 @@ def test_ablation_runtime_budget(ablation, report):
 def test_guidance_sweep(pipeline, runs, report, provenance):
     results, _ = runs
     full = results["full"].params
-    base = pipeline.base
     test_c = pipeline.splits.test_contrastive
     test_t = pipeline.splits.test_translation
     accs, bleus = {}, {}
     for gamma in GAMMA_GRID:
-        accs[gamma] = ev.commute_accuracy(ev.make_scorer(base, full, gamma),
-                                          test_c)
-        bleus[gamma] = ev.translation_bleu(base, full, test_t, gamma,
+        accs[gamma] = ev.commute_accuracy(ev.make_scorer(full, gamma), test_c)
+        bleus[gamma] = ev.translation_bleu(full, test_t, gamma,
                                            width=BEAM_WIDTH)
 
     gain = accs[2.0] - accs[1.0]

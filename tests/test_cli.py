@@ -176,6 +176,76 @@ def test_eval_rejects_negative_gamma(run_dir):
     assert not (out / "eval_gamma-1").exists()
 
 
+def test_eval_at_gamma_zero_is_the_frozen_base(run_dir, monkeypatch):
+    # gamma = 0 scores and decodes with the adapted model's extras off, which
+    # is the frozen base byte for byte; the no-CFG accuracy stays gamma = 1's
+    config_path, out = run_dir
+    scored = []
+
+    def recording(scorer, instances, _rows=ev.commute_rows):
+        scored.append(type(scorer).__name__)
+        return _rows(scorer, instances)
+
+    monkeypatch.setattr(ev, "commute_rows", recording)
+    reports, rows = {}, {}
+    for tag, flags in (("base", ["--text-only", "--gamma", "2.5"]),
+                       ("gamma0", ["--gamma", "0"]),
+                       ("gamma1", ["--gamma", "1"])):
+        scored.clear()
+        assert cli.main(["eval", "--config", str(config_path),
+                         "--out", str(out), *flags]) == 0
+        if tag == "gamma0":
+            assert scored == ["TextOnlyScorer", "MultimodalScorer"]
+        rdir = out / f"eval_{tag}"
+        reports[tag] = json.loads((rdir / "eval_report.json").read_text())
+        rows[tag] = (rdir / "eval_rows.csv").read_bytes()
+    assert reports["base"]["gamma"] == 2.5
+    assert rows["gamma0"] == rows["base"]
+    for key in ("contrastive_accuracy", "bleu", "sense_accuracy"):
+        assert reports["gamma0"][key] == reports["base"][key], key
+    assert (reports["gamma0"]["contrastive_accuracy_no_cfg"]
+            == reports["gamma1"]["contrastive_accuracy"])
+
+
+def test_guidance_never_reads_base_checkpoint(run_dir, tmp_path):
+    # guidance blends the adapted model with its own extras-off base, so a
+    # base.ckpt pretrained at another seed changes nothing
+    config_path, out = run_dir
+    kept, swapped = tmp_path / "kept", tmp_path / "swapped"
+    for d in (kept, swapped):
+        shutil.copytree(out / "corpus", d / "corpus")
+        shutil.copytree(out / "train_full", d / "train_full")
+    shutil.copy(out / "base.ckpt", kept / "base.ckpt")
+    assert cli.main(["pretrain", "--config", str(config_path), "--seed", "1",
+                     "--out", str(swapped)]) == 0
+    assert (swapped / "base.ckpt").read_bytes() != \
+        (kept / "base.ckpt").read_bytes()
+    for d in (kept, swapped):
+        common = ["--config", str(config_path), "--out", str(d)]
+        assert cli.main(["eval", *common, "--gamma", "2.0"]) == 0
+        assert cli.main(["sweep", *common, "--param", "gamma",
+                         "--values", "0.5,2.0"]) == 0
+    for name in ("eval_gamma2/eval_report.json", "eval_gamma2/eval_rows.csv",
+                 "sweep_gamma/sweep.csv"):
+        assert (kept / name).read_bytes() == (swapped / name).read_bytes(), name
+
+
+def test_world_with_unknown_spec_key_names_the_file(run_dir, tmp_path, capsys):
+    config_path, out = run_dir
+    old = tmp_path / "old"
+    shutil.copytree(out / "corpus", old / "corpus")
+    shutil.copy(out / "base.ckpt", old / "base.ckpt")
+    path = old / "corpus" / "world.json"
+    payload = json.loads(path.read_text())
+    payload["world"]["spec"]["caption_cue_rate"] = 0.5
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["translate", "--config", str(config_path),
+                     "--out", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: unknown world spec keys ['caption_cue_rate']" in err
+
+
 def test_sweep_gamma_writes_grid(run_dir):
     config_path, out = run_dir
     assert cli.main(["sweep", "--config", str(config_path), "--out", str(out),

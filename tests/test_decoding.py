@@ -242,19 +242,19 @@ def test_translate_dispatch_matches_the_searches(tiny_params):
     def same(a, b):
         return (a.tokens, a.logp, a.finished) == (b.tokens, b.logp, b.finished)
 
-    # no multimodal model: the text-only base, whatever gamma and image
+    # gamma = 0: the text-only base (extras off), whatever the image
     base_hyp = dec.beam_search(tiny_params, src, image=None, width=3,
                                use_extras=False)
-    assert same(dec.translate(tiny_params, None, src, img, 2.0, width=3),
-                base_hyp)
-    assert same(dec.translate(tiny_params, tiny_params, src, img, 1.0, width=3),
+    for image in (img, None):
+        assert same(dec.translate(tiny_params, src, image, 0.0, width=3),
+                    base_hyp)
+    assert same(dec.translate(tiny_params, src, img, 1.0, width=3),
                 dec.beam_search(tiny_params, src, image=img, width=3))
     for gamma, space in ((0.5, "log"), (2.0, "prob_clip")):
         assert same(
-            dec.translate(tiny_params, tiny_params, src, img, gamma, width=3,
-                          space=space),
+            dec.translate(tiny_params, src, img, gamma, width=3, space=space),
             dec.cfg_beam_search(tiny_params, tiny_params, src, img, gamma,
                                 width=3, space=space),
         )
     with pytest.raises(ValueError):
-        dec.translate(tiny_params, tiny_params, src, img, -1.0, width=3)
+        dec.translate(tiny_params, src, img, -1.0, width=3)

@@ -245,16 +245,33 @@ def test_multimodal_scorer_shape_and_normalization(tiny_params):
 
 def test_make_scorer_dispatch(tiny_params):
     m.randomize_extras(tiny_params, seed=12)
-    text = ev.make_scorer(tiny_params, None, 2.0)
+    text = ev.make_scorer(tiny_params, 0.0)
     assert type(text) is ev.TextOnlyScorer and text.params is tiny_params
-    plain = ev.make_scorer(tiny_params, tiny_params, 1.0)
+    plain = ev.make_scorer(tiny_params, 1.0)
     assert type(plain) is ev.MultimodalScorer and plain.params is tiny_params
-    for gamma in (0.0, 2.0):
-        blend = ev.make_scorer(tiny_params, tiny_params, gamma, "prob_clip")
+    for gamma in (0.5, 2.0):
+        blend = ev.make_scorer(tiny_params, gamma, "prob_clip")
         assert type(blend) is ev.CfgScorer
         assert (blend.gamma, blend.space) == (gamma, "prob_clip")
         assert type(blend.text_scorer) is ev.TextOnlyScorer
         assert type(blend.mm_scorer) is ev.MultimodalScorer
+        assert blend.text_scorer.params is blend.mm_scorer.params is tiny_params
+
+
+def test_gamma_zero_is_the_text_only_base_bit_for_bit(tiny_params):
+    # scoring and decoding agree at gamma = 0: both are the extras-off base,
+    # not a guidance blend that reproduces it up to rounding
+    m.randomize_extras(tiny_params, seed=15)
+    src, tgt = [5, 6, 7], [m.BOS, 7, 8, m.EOS]
+    img = np.random.default_rng(16).standard_normal(tiny_params.config.image_dim)
+    scorer = ev.make_scorer(tiny_params, 0.0)
+    assert type(scorer) is ev.TextOnlyScorer
+    want = ev.TextOnlyScorer(tiny_params).distributions(src, None, tgt)
+    assert np.array_equal(scorer.distributions(src, img, tgt), want)
+    hyp = dec.translate(tiny_params, src, img, 0.0, width=3)
+    base = dec.beam_search(tiny_params, src, image=None, width=3,
+                           use_extras=False)
+    assert (hyp.tokens, hyp.logp) == (base.tokens, base.logp)
 
 
 def test_translation_bleu_scores_the_dispatched_translations(tiny_params):
@@ -266,9 +283,9 @@ def test_translation_bleu_scores_the_dispatched_translations(tiny_params):
         for src, tgt in (([5, 6], [m.BOS, 7, 8, m.EOS]),
                          ([6, 9, 5], [m.BOS, 8, 7, m.EOS]))
     ]
-    for mm, gamma in ((None, 1.0), (tiny_params, 1.0), (tiny_params, 2.0)):
-        hyps = [list(dec.translate(tiny_params, mm, ex.src, ex.image, gamma,
+    for gamma in (0.0, 1.0, 2.0):
+        hyps = [list(dec.translate(tiny_params, ex.src, ex.image, gamma,
                                    width=2).tokens) for ex in examples]
         want = ev.bleu(hyps, [ex.tgt[1:-1] for ex in examples])
-        got = ev.translation_bleu(tiny_params, mm, examples, gamma, width=2)
+        got = ev.translation_bleu(tiny_params, examples, gamma, width=2)
         assert got == want

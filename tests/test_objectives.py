@@ -7,7 +7,7 @@ import pytest
 from zerommt import autodiff as ad
 from zerommt import model as m
 from zerommt import objectives as obj
-from zerommt.objectives import Batch, BatchExample, LossWeights
+from zerommt.objectives import Batch, BatchExample
 
 
 def _img(dim, seed):
@@ -46,14 +46,6 @@ def test_batch_example_validation():
     with pytest.raises(ValueError):
         BatchExample(src=[5], tgt=[m.BOS, 5, m.EOS], mask_set=(1,)).validate()
     BatchExample(src=[5], tgt=[m.BOS, 5, m.EOS], mask_set=(0,)).validate()
-
-
-def test_loss_weights_validation():
-    with pytest.raises(ValueError):
-        LossWeights(lam=-0.1)
-    with pytest.raises(ValueError):
-        LossWeights(lam=float("nan"))
-    assert LossWeights(lam=0.0).lam == 0.0
 
 
 def test_losses_reject_empty_batch(tiny_params):
@@ -180,18 +172,30 @@ def test_kl_cache_path_equals_recompute_path(tiny_params):
 # combination and gradient routing
 
 
-def test_combined_loss_is_exact_sum(tiny_params):
+def test_adaptation_loss_is_exact_composition(tiny_params):
     m.randomize_extras(tiny_params, seed=21)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=22, mask_set=(1,))
-    weights = LossWeights(lam=0.3)
-    total, vmlm, kl = obj.combined_loss(Batch([ex]), tiny_params, weights)
-    assert total.data == vmlm.data + 0.3 * kl.data
+    batch = Batch([ex])
+    vmlm = float(obj.vmlm_loss(batch, tiny_params).data)
+    kl = float(obj.kl_penalty(batch, tiny_params).data)
+    nll = float(obj.mmt_loss(batch, tiny_params).data)
+    want = {
+        "full": (vmlm + 0.3 * kl, vmlm, kl),
+        "no_vmlm": (0.3 * kl, None, kl),
+        "no_kl": (vmlm, vmlm, None),
+        "mmt_no_kl": (vmlm + 0.3 * nll, vmlm, nll),
+    }
+    assert set(want) == set(obj.ADAPTATION_MODES)
+    for mode, parts in want.items():
+        got = obj.adaptation_loss(batch, tiny_params, mode, 0.3)
+        got = tuple(None if t is None else float(t.data) for t in got)
+        assert got == parts, mode
 
 
 def test_gradients_reach_only_extras(tiny_params):
     m.randomize_extras(tiny_params, seed=23)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=24, mask_set=(0,))
-    total, _, _ = obj.combined_loss(Batch([ex]), tiny_params, LossWeights())
+    total, _, _ = obj.adaptation_loss(Batch([ex]), tiny_params, "full", 1.0)
     ad.backward(total)
     for name in tiny_params.base_names():
         assert tiny_params.tensors[name].grad is None, name
@@ -323,13 +327,12 @@ def test_loss_with_accept_sets_gradient_matches_finite_differences(tiny_params):
     ex1.accept = _accept(ex1.tgt, v, extra=[(0, 10), (1, 4), (1, 12)])
     ex2 = _ex(tiny_params, [11, 12], [13], seed=35, mask_set=(0,))
     batch = Batch([ex1, ex2])
-    weights = LossWeights(lam=0.7)
 
     def value():
-        total, _, _ = obj.combined_loss(batch, tiny_params, weights)
+        total, _, _ = obj.adaptation_loss(batch, tiny_params, "full", 0.7)
         return float(total.data)
 
-    total, _, _ = obj.combined_loss(batch, tiny_params, weights)
+    total, _, _ = obj.adaptation_loss(batch, tiny_params, "full", 0.7)
     ad.backward(total)
     eps = 1e-6
     worst = 0.0

@@ -3,6 +3,7 @@ and the JSONL round trip."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -315,3 +316,12 @@ def test_world_dict_roundtrip(world):
     assert back.vocab_used == world.vocab_used
     for key in world.centroids:
         assert back.centroids[key] == world.centroids[key]
+
+
+def test_world_with_unknown_spec_key_fails_by_name(world):
+    payload = sc.world_to_dict(world)
+    payload["spec"]["caption_cue_rate"] = 0.5
+    with pytest.raises(ValueError,
+                       match=re.escape("unknown world spec keys "
+                                       "['caption_cue_rate']")):
+        sc.world_from_dict(payload)

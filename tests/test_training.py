@@ -68,10 +68,16 @@ def test_train_config_validation():
         dict(lr=0.0),
         dict(batch_size=0),
         dict(mode="nope"),
+        dict(lam=-0.1),
+        dict(lam=float("nan")),
+        dict(eval_every=0),
+        dict(mask_rate=-0.1),
+        dict(mask_rate=2.0),
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad).validate()
     TrainConfig().validate()
+    TrainConfig(lam=0.0, mask_rate=1.0, eval_every=1).validate()
     for bad in (dict(lr=-1.0), dict(batch_size=0), dict(max_steps=0)):
         with pytest.raises(ValueError):
             PretrainConfig(**bad).validate()
