@@ -16,6 +16,7 @@ included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,6 +320,10 @@ def adaptation_loss(
     vmlm + lam * anchor, lam * anchor without the masked-source term, or
     vmlm alone without an anchor. Returned with both parts, None where a
     part is off."""
+    if mode not in ADAPTATION_MODES:
+        raise ValueError(f"unknown adaptation mode {mode!r}")
+    if not math.isfinite(lam) or lam < 0:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     vmlm_on, anchor_kind = ADAPTATION_MODES[mode]
     vmlm = vmlm_loss(batch, params) if vmlm_on else None
     if anchor_kind == "kl":

@@ -48,6 +48,17 @@ def test_batch_example_validation():
     BatchExample(src=[5], tgt=[m.BOS, 5, m.EOS], mask_set=(0,)).validate()
 
 
+def test_loss_weights_validation(tiny_params):
+    m.randomize_extras(tiny_params, seed=20)
+    batch = Batch([_ex(tiny_params, [5, 6], [7], seed=20, mask_set=(0,))])
+    for mode, lam in (("full", -0.1), ("full", float("nan")), ("nope", 1.0)):
+        with pytest.raises(ValueError):
+            obj.adaptation_loss(batch, tiny_params, mode, lam)
+    total, vmlm, kl = obj.adaptation_loss(batch, tiny_params, "full", 0.0)
+    assert float(total.data) == float(vmlm.data)
+    assert kl is not None
+
+
 def test_losses_reject_empty_batch(tiny_params):
     for fn in (obj.vmlm_loss, obj.text_nll, obj.mmt_loss):
         with pytest.raises(ValueError):
