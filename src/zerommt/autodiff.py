@@ -9,9 +9,13 @@ numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+# whether op outputs record their parents; off inside ``no_grad``
+_recording = True
 
 
 class ShapeError(ValueError):
@@ -23,8 +27,9 @@ class Tensor:
 
     Leaves are created directly; op outputs carry backpointers to their
     parents and a closure that routes the incoming gradient. Nodes whose
-    parents all have ``requires_grad=False`` record nothing, so frozen-model
-    forwards build no graph at all.
+    parents all have ``requires_grad=False``, and every node made inside
+    ``no_grad``, record nothing, so frozen-model and inference forwards
+    build no graph at all.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -54,9 +59,28 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the scope: ops compute the same numbers, but
+    their outputs never require grad. The switch is process-wide; the
+    previous state comes back on exit, also when the scope raises."""
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
+def is_recording() -> bool:
+    """False inside ``no_grad``."""
+    return _recording
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

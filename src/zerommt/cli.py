@@ -111,6 +111,8 @@ def _load_world(out: Path) -> sc.World:
     path = _corpus_dir(out) / "world.json"
     try:
         return sc.world_from_dict(json.loads(path.read_text())["world"])
+    except KeyError as e:
+        raise ValueError(f"{path}: missing field {e.args[0]!r}") from e
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 

@@ -19,8 +19,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import autodiff as ad
 from . import model as m
-from .model import ModelParams, EncoderStates
+from .model import ModelParams
 
 PROB_FLOOR = 1e-12
 
@@ -40,8 +41,8 @@ def cfg_distribution(
     gamma: float,
     space: str = "log",
 ) -> np.ndarray:
-    """Blend the text-only and multimodal next-token distributions; gamma
-    must be finite and nonnegative."""
+    """Blend the text-only and multimodal next-token distributions, row by
+    row along the last axis; gamma must be finite and nonnegative."""
     if not math.isfinite(gamma) or gamma < 0:
         raise ValueError(f"gamma must be finite and nonnegative: {gamma}")
     p_text = np.asarray(p_text, dtype=np.float64)
@@ -52,15 +53,15 @@ def cfg_distribution(
         lt = np.log(np.maximum(p_text, PROB_FLOOR))
         lm = np.log(np.maximum(p_mm, PROB_FLOOR))
         blended = lt + gamma * (lm - lt)
-        blended -= blended.max()
+        blended -= blended.max(axis=-1, keepdims=True)
         out = np.exp(blended)
     elif space == "prob_clip":
         out = np.maximum(p_text + gamma * (p_mm - p_text), 0.0)
-        if out.sum() <= 0.0:
-            out = np.maximum(p_text, PROB_FLOOR)
+        out = np.where(out.sum(axis=-1, keepdims=True) <= 0.0,
+                       np.maximum(p_text, PROB_FLOOR), out)
     else:
         raise ValueError(f"unknown cfg space {space!r}")
-    return out / out.sum()
+    return out / out.sum(axis=-1, keepdims=True)
 
 
 def beam_search_steps(
@@ -117,10 +118,20 @@ def beam_search_steps(
 
 
 def _model_step_fn(
-    params: ModelParams, enc: EncoderStates, use_extras: bool
+    params: ModelParams,
+    source: list[int],
+    image: np.ndarray | None,
+    use_extras: bool,
 ) -> StepFn:
+    """Next-token distributions of ``params`` for ``source``, encoded once;
+    both passes run tape-free."""
+    with ad.no_grad():
+        enc = m.encode(source, image, params, use_extras=use_extras)
+
     def step(prefix: tuple[int, ...]) -> np.ndarray:
-        return m.decode_step(enc, list(prefix), params, use_extras=use_extras)
+        with ad.no_grad():
+            return m.decode_step(enc, list(prefix), params,
+                                 use_extras=use_extras)
 
     return step
 
@@ -134,9 +145,9 @@ def beam_search(
 ) -> Hypothesis:
     """Translate one source sentence with plain beam search, up to the
     model's ``max_len`` tokens."""
-    enc = m.encode(source, image, params, use_extras=use_extras)
     return beam_search_steps(
-        _model_step_fn(params, enc, use_extras), width, params.config.max_len
+        _model_step_fn(params, source, image, use_extras), width,
+        params.config.max_len,
     )
 
 
@@ -154,10 +165,8 @@ def cfg_beam_search(
     if base_params.config.vocab_size != mm_params.config.vocab_size:
         raise ValueError("base and multimodal models must share the vocabulary")
     max_len = mm_params.config.max_len
-    enc_text = m.encode(source, None, base_params, use_extras=False)
-    enc_mm = m.encode(source, image, mm_params, use_extras=True)
-    text_step = _model_step_fn(base_params, enc_text, use_extras=False)
-    mm_step = _model_step_fn(mm_params, enc_mm, use_extras=True)
+    text_step = _model_step_fn(base_params, source, None, use_extras=False)
+    mm_step = _model_step_fn(mm_params, source, image, use_extras=True)
 
     # the endpoints reproduce the single models exactly, bit for bit
     if gamma == 0.0:

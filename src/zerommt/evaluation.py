@@ -1,11 +1,12 @@
 """Contrastive disambiguation scoring, perplexity, and corpus BLEU.
 
-A scorer is anything that maps (source, image, target) to per-position
-next-token distributions under teacher forcing. Three scorers are
-provided: the frozen text-only base (image-blind), the multimodal model,
-and a guidance blend of the two. ``make_scorer`` picks one from the same
-(model, gamma) keys as ``decoding.translate``, and ``translation_bleu``
-scores that dispatcher's translations.
+A scorer is anything whose ``distributions(srcs, images, tgts)`` maps
+each (source, image, target) to its per-position next-token distributions
+under teacher forcing. Three scorers are provided: the frozen text-only
+base (image-blind), the multimodal model, and a guidance blend of the two.
+``make_scorer`` picks one from the same (model, gamma) keys as
+``decoding.translate``, and ``translation_bleu`` scores that dispatcher's
+translations.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # scorers
 
+# sequences per padded forward of a model scorer
+SCORE_BATCH = 64
+
 
 class _ModelScorer:
     """Teacher-forced softmax of one model, with the image and the extras
@@ -84,20 +88,43 @@ class _ModelScorer:
     def __init__(self, params: ModelParams):
         self.params = params
 
-    def distributions(self, src, image, tgt) -> np.ndarray:
-        image = image if self.use_extras else None
-        enc = m.encode(src, image, self.params, use_extras=self.use_extras)
-        ids = np.asarray([tgt[:-1]], dtype=np.int64)
-        valid = np.ones_like(ids, dtype=bool)
-        logits = m.decoder_logits(self.params, enc, ids, valid,
-                                  use_extras=self.use_extras)
-        return ad.softmax(logits, axis=-1).data[0]
+    def distributions(self, srcs, images, tgts) -> list[np.ndarray]:
+        """One (len(tgt) - 1, V) array of next-token distributions per
+        (source, image, target), from one padded, tape-free forward per
+        ``SCORE_BATCH`` sequences."""
+        if self.use_extras and any(i is None for i in images):
+            raise ValueError("the multimodal scorer needs an image per sequence")
+        out = []
+        for k in range(0, len(tgts), SCORE_BATCH):
+            chunk = tgts[k : k + SCORE_BATCH]
+            src_ids, src_valid = m.pad_batch(srcs[k : k + SCORE_BATCH])
+            tgt_in, tgt_valid = m.pad_batch([t[:-1] for t in chunk])
+            imgs = (np.array(images[k : k + SCORE_BATCH], dtype=np.float64)
+                    if self.use_extras else None)
+            with ad.no_grad():
+                enc = m.encode_batch(self.params, src_ids, src_valid, imgs,
+                                     use_extras=self.use_extras)
+                logits = m.decoder_logits(self.params, enc, tgt_in, tgt_valid,
+                                          use_extras=self.use_extras)
+                probs = ad.softmax(logits, axis=-1).data
+            out += [probs[b, : len(t) - 1] for b, t in enumerate(chunk)]
+        return out
 
 
 class TextOnlyScorer(_ModelScorer):
-    """Frozen base model; ignores the image entirely."""
+    """Frozen base model; ignores the image entirely. Each distinct
+    (source, target) is scored once, so sequences that differ only in
+    their image get the very same distributions."""
 
     use_extras = False
+
+    def distributions(self, srcs, images, tgts) -> list[np.ndarray]:
+        pairs = [(tuple(x), tuple(y)) for x, y in zip(srcs, tgts)]
+        unique = list(dict.fromkeys(pairs))
+        dists = super().distributions([x for x, _ in unique], None,
+                                      [y for _, y in unique])
+        scored = dict(zip(unique, dists))
+        return [scored[p] for p in pairs]
 
 
 class MultimodalScorer(_ModelScorer):
@@ -113,15 +140,11 @@ class CfgScorer:
         self.gamma = gamma
         self.space = space
 
-    def distributions(self, src, image, tgt) -> np.ndarray:
-        pt = self.text_scorer.distributions(src, image, tgt)
-        pm = self.mm_scorer.distributions(src, image, tgt)
-        return np.stack(
-            [
-                cfg_distribution(pt[j], pm[j], self.gamma, self.space)
-                for j in range(pt.shape[0])
-            ]
-        )
+    def distributions(self, srcs, images, tgts) -> list[np.ndarray]:
+        pt = self.text_scorer.distributions(srcs, images, tgts)
+        pm = self.mm_scorer.distributions(srcs, images, tgts)
+        return [cfg_distribution(t, mm, self.gamma, self.space)
+                for t, mm in zip(pt, pm)]
 
 
 def make_scorer(params: ModelParams, gamma: float = 1.0, space: str = "log"):
@@ -140,45 +163,46 @@ def make_scorer(params: ModelParams, gamma: float = 1.0, space: str = "log"):
 # perplexity and the contrastive protocol
 
 
-def sequence_perplexity(scorer, x: list[int], i, y: list[int]) -> float:
-    """exp of the mean per-token negative log-probability of ``y``."""
+def sequence_perplexity(dists: np.ndarray, y) -> float:
+    """exp of the mean per-token negative log-probability of ``y`` under
+    its teacher-forced next-token distributions ``dists`` (one row per
+    token after BOS)."""
     if len(y) < 2 or y[-1] != m.EOS:
         raise ValueError("target must be nonempty and EOS-terminated")
-    dists = scorer.distributions(x, i, y)
+    if len(dists) != len(y) - 1:
+        raise ValueError(f"{len(dists)} distributions for {len(y) - 1} tokens")
     gold = np.asarray(y[1:])
     probs = dists[np.arange(len(gold)), gold]
     nll = -np.log(np.maximum(probs, 1e-300)).mean()
     return float(np.exp(nll))
 
 
-def _score_instance(scorer, inst: ContrastiveInstance) -> list[InstanceRow]:
-    """One row per orientation; it scores 1 iff the correct translation has
-    strictly lower perplexity."""
-    rows = []
-    for orientation, img, y_c, y_w in (
-        ("a", inst.img_a, inst.tgt_a, inst.tgt_b),
-        ("b", inst.img_b, inst.tgt_b, inst.tgt_a),
-    ):
-        ppl_c = sequence_perplexity(scorer, inst.src, img, y_c)
-        ppl_w = sequence_perplexity(scorer, inst.src, img, y_w)
-        rows.append(
-            InstanceRow(
-                id=inst.id,
-                orientation=orientation,
-                ppl_correct=ppl_c,
-                ppl_wrong=ppl_w,
-                score=1 if ppl_c < ppl_w else 0,
-            )
-        )
-    return rows
-
-
 def commute_rows(
     scorer, instances: list[ContrastiveInstance]
 ) -> list[InstanceRow]:
+    """One row per orientation of every instance, from one ``distributions``
+    call over all their sequences; a row scores 1 iff the correct
+    translation has strictly lower perplexity."""
     if not instances:
         raise ValueError("no contrastive instances")
-    return [row for inst in instances for row in _score_instance(scorer, inst)]
+    srcs, images, tgts = [], [], []
+    for inst in instances:
+        for img, y_c, y_w in ((inst.img_a, inst.tgt_a, inst.tgt_b),
+                              (inst.img_b, inst.tgt_b, inst.tgt_a)):
+            for y in (y_c, y_w):
+                srcs.append(tuple(inst.src))
+                images.append(img)
+                tgts.append(tuple(y))
+    dists = scorer.distributions(srcs, images, tgts)
+    ppl = iter([sequence_perplexity(d, y) for d, y in zip(dists, tgts)])
+    rows = []
+    for inst in instances:
+        for orientation in "ab":
+            ppl_c, ppl_w = next(ppl), next(ppl)
+            rows.append(InstanceRow(id=inst.id, orientation=orientation,
+                                    ppl_correct=ppl_c, ppl_wrong=ppl_w,
+                                    score=1 if ppl_c < ppl_w else 0))
+    return rows
 
 
 def commute_accuracy(scorer, instances: list[ContrastiveInstance]) -> float:

@@ -233,6 +233,19 @@ def randomize_extras(params: ModelParams, seed: int, scale: float = 0.05) -> Non
 # forward passes (batched; single-example API wraps batch size 1)
 
 
+def pad_batch(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad token sequences with PAD: ids (B, S) and the (B, S) mask
+    of real positions."""
+    if any(len(s) == 0 for s in seqs):
+        raise ValueError("empty sequence in batch")
+    ids = np.full((len(seqs), max(len(s) for s in seqs)), PAD, dtype=np.int64)
+    valid = np.zeros(ids.shape, dtype=bool)
+    for b, s in enumerate(seqs):
+        ids[b, : len(s)] = s
+        valid[b, : len(s)] = True
+    return ids, valid
+
+
 def _additive_mask(valid: np.ndarray) -> np.ndarray:
     # (B, Sk) bool -> (B, 1, 1, Sk) additive, -inf on masked keys
     m = np.where(valid, 0.0, -np.inf)

@@ -27,10 +27,10 @@ from .model import (
     BOS,
     EOS,
     MASK,
-    PAD,
     ModelParams,
     decoder_logits,
     encode_batch,
+    pad_batch,
 )
 
 LOG_FLOOR = 1e-12
@@ -94,34 +94,22 @@ class Batch:
 def _pad_sources(
     examples: list[BatchExample], masked: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    smax = max(len(ex.src) for ex in examples)
-    ids = np.full((len(examples), smax), PAD, dtype=np.int64)
-    valid = np.zeros((len(examples), smax), dtype=bool)
-    for b, ex in enumerate(examples):
+    rows = []
+    for ex in examples:
         row = list(ex.src)
         if masked:
             for j in ex.mask_set:
                 row[j] = MASK
-        ids[b, : len(row)] = row
-        valid[b, : len(row)] = True
-    return ids, valid
+        rows.append(row)
+    return pad_batch(rows)
 
 
 def _pad_targets(
     examples: list[BatchExample],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    tmax = max(len(ex.tgt) for ex in examples) - 1
-    tgt_in = np.full((len(examples), tmax), PAD, dtype=np.int64)
-    tgt_out = np.full((len(examples), tmax), PAD, dtype=np.int64)
-    valid = np.zeros((len(examples), tmax), dtype=bool)
-    weights = np.zeros((len(examples), tmax), dtype=np.float64)
-    for b, ex in enumerate(examples):
-        t = len(ex.tgt) - 1
-        tgt_in[b, :t] = ex.tgt[:-1]
-        tgt_out[b, :t] = ex.tgt[1:]
-        valid[b, :t] = True
-        weights[b, :t] = 1.0
-    return tgt_in, tgt_out, valid, weights
+    tgt_in, valid = pad_batch([ex.tgt[:-1] for ex in examples])
+    tgt_out, _ = pad_batch([ex.tgt[1:] for ex in examples])
+    return tgt_in, tgt_out, valid, valid.astype(np.float64)
 
 
 def _stack_images(examples: list[BatchExample]) -> np.ndarray:

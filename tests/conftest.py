@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from zerommt import autodiff as ad
 from zerommt import model as m
 
 TINY = m.ModelConfig(
@@ -29,3 +30,12 @@ def tiny_config():
 @pytest.fixture
 def tiny_params(tiny_config):
     return m.build_model(tiny_config, seed=0)
+
+
+@pytest.fixture(autouse=True)
+def tape_recording_stays_on():
+    """A no_grad scope leaked out of one test would silently stop every
+    later test's gradients."""
+    assert ad.is_recording(), "tape recording was off when the test began"
+    yield
+    assert ad.is_recording(), "the test left tape recording off"

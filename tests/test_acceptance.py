@@ -217,8 +217,10 @@ def test_exact_identities(pipeline, runs, report):
 
     # blend endpoints and normalization, on real model distributions
     inst = pipeline.splits.test_contrastive[0]
-    pt = ev.TextOnlyScorer(base).distributions(inst.src, inst.img_a, inst.tgt_a)
-    pm = ev.MultimodalScorer(full).distributions(inst.src, inst.img_a, inst.tgt_a)
+    pt = ev.TextOnlyScorer(base).distributions(
+        [inst.src], [inst.img_a], [inst.tgt_a])[0]
+    pm = ev.MultimodalScorer(full).distributions(
+        [inst.src], [inst.img_a], [inst.tgt_a])[0]
     dev_one = max(
         float(np.abs(dec.cfg_distribution(pt[j], pm[j], 1.0) - pm[j]).max())
         for j in range(pt.shape[0])
@@ -292,7 +294,7 @@ def test_base_model_behavior(pipeline, report):
     # base puts on its preferred sense, averaged over the held-out set
     shares = []
     for inst in pipeline.splits.test_contrastive:
-        dists = scorer.distributions(inst.src, None, inst.tgt_a)
+        dists = scorer.distributions([inst.src], [None], [inst.tgt_a])[0]
         j = next(
             k for k, (a, b) in enumerate(zip(inst.tgt_a[1:], inst.tgt_b[1:]))
             if a != b
@@ -542,8 +544,8 @@ class _FixedScorer:
             rows.append(row)
         self.rows = np.asarray(rows)
 
-    def distributions(self, src, image, tgt):
-        return self.rows
+    def distributions(self, srcs, images, tgts):
+        return [self.rows for _ in tgts]
 
 
 PPL_ORACLE = [
@@ -567,7 +569,8 @@ def test_perplexity_matches_scalar_oracle(report):
         tgt = [m.BOS] + body + [m.EOS]
         gold = body + [m.EOS]
         scorer = _FixedScorer(probs, gold)
-        got = ev.sequence_perplexity(scorer, [4], None, tgt)
+        got = ev.sequence_perplexity(
+            scorer.distributions([[4]], [None], [tgt])[0], tgt)
         want = math.exp(-sum(math.log(p) for p in probs) / len(probs))
         worst = max(worst, abs(got - want))
     ok = worst < 1e-9

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from zerommt import autodiff as ad
+from zerommt import decoding as dec
+from zerommt import model as m
 from zerommt.autodiff import ShapeError, Tensor
 
 
@@ -259,3 +261,90 @@ def test_gradient_accumulates_over_reuse():
     x = Tensor(np.array([3.0]), requires_grad=True)
     _sum_backward(ad.add(x, x))
     assert np.array_equal(x.grad, [2.0])
+
+
+# ---------------------------------------------------------------------------
+# no_grad: same numbers, no tape
+
+
+def _model_forward(params):
+    """Logits of a small multimodal forward whose extras require grad."""
+    enc = m.encode([5, 6, 7], np.linspace(-1.0, 1.0, params.config.image_dim),
+                   params)
+    ids = np.asarray([[m.BOS, 8, 9]])
+    return m.decoder_logits(params, enc, ids, np.ones_like(ids, dtype=bool))
+
+
+def test_no_grad_outputs_are_byte_identical(tiny_params):
+    m.randomize_extras(tiny_params, seed=3)
+    taped = _model_forward(tiny_params)
+    with ad.no_grad():
+        free = _model_forward(tiny_params)
+    assert taped.requires_grad
+    assert free.data.tobytes() == taped.data.tobytes()
+
+
+def test_no_grad_records_nothing():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    with ad.no_grad():
+        assert not ad.is_recording()
+        out = ad.tsum(ad.relu(ad.mul(ad.add(x, 1.0), x)))
+    assert x.requires_grad
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    with pytest.raises(RuntimeError):
+        ad.backward(out)
+    assert x.grad is None
+
+
+def test_nested_no_grad_restores_the_outer_state():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad.is_recording()
+        assert not ad.is_recording()
+        assert not ad.scale(x, 2.0).requires_grad
+    assert ad.is_recording()
+    assert ad.scale(x, 2.0).requires_grad
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            raise KeyError("inside the scope")
+    assert ad.is_recording()
+    point = np.array([[0.3, -0.7, 1.1], [0.2, 0.5, -0.4]])
+    assert ad.grad_check(lambda x: ad.softmax(ad.mul(x, x)), point) < GRAD_TOL
+
+
+def test_beam_searches_unchanged_by_no_grad(tiny_params):
+    # reference searches whose step functions record a tape, as every
+    # decode step did before the searches ran tape-free
+    m.randomize_extras(tiny_params, seed=4)
+    src = [5, 6, 7]
+    img = np.linspace(-1.0, 1.0, tiny_params.config.image_dim)
+    max_len = tiny_params.config.max_len
+
+    def taped_step(image, use_extras):
+        enc = m.encode(src, image, tiny_params, use_extras=use_extras)
+
+        def step(prefix):
+            assert ad.is_recording()
+            return m.decode_step(enc, list(prefix), tiny_params,
+                                 use_extras=use_extras)
+
+        return step
+
+    text, mm = taped_step(None, False), taped_step(img, True)
+
+    def key(h):
+        return (h.tokens, h.logp, h.finished)
+
+    want = dec.beam_search_steps(mm, 3, max_len)
+    assert key(dec.beam_search(tiny_params, src, img, width=3)) == key(want)
+    for gamma, ref in ((0.0, text), (1.0, mm), (
+            2.0, lambda p: dec.cfg_distribution(text(p), mm(p), 2.0))):
+        want = dec.beam_search_steps(ref, 3, max_len)
+        got = dec.cfg_beam_search(tiny_params, tiny_params, src, img, gamma,
+                                  width=3)
+        assert key(got) == key(want), gamma

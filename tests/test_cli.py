@@ -230,20 +230,37 @@ def test_guidance_never_reads_base_checkpoint(run_dir, tmp_path):
         assert (kept / name).read_bytes() == (swapped / name).read_bytes(), name
 
 
-def test_world_with_unknown_spec_key_names_the_file(run_dir, tmp_path, capsys):
+def _translate_with_edited_world(run_dir, tmp_path, capsys, edit):
+    """Run `translate` on a copy of the run directory whose world.json
+    ``edit`` changed in place; return world.json's path and stderr."""
     config_path, out = run_dir
     old = tmp_path / "old"
     shutil.copytree(out / "corpus", old / "corpus")
     shutil.copy(out / "base.ckpt", old / "base.ckpt")
     path = old / "corpus" / "world.json"
     payload = json.loads(path.read_text())
-    payload["world"]["spec"]["caption_cue_rate"] = 0.5
+    edit(payload)
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert cli.main(["translate", "--config", str(config_path),
                      "--out", str(old)]) == 1
-    err = capsys.readouterr().err
+    return path, capsys.readouterr().err
+
+
+def test_world_with_unknown_spec_key_names_the_file(run_dir, tmp_path, capsys):
+    path, err = _translate_with_edited_world(
+        run_dir, tmp_path, capsys,
+        lambda w: w["world"]["spec"].update(caption_cue_rate=0.5))
     assert f"{path}: unknown world spec keys ['caption_cue_rate']" in err
+
+
+@pytest.mark.parametrize("drop", ["world", "spec", "cue"])
+def test_world_missing_a_field_names_the_file_and_field(run_dir, tmp_path,
+                                                        capsys, drop):
+    path, err = _translate_with_edited_world(
+        run_dir, tmp_path, capsys,
+        lambda w: (w if drop == "world" else w["world"]).pop(drop))
+    assert f"{path}: missing field '{drop}'" in err
 
 
 def test_sweep_gamma_writes_grid(run_dir):

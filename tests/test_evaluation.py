@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from zerommt import autodiff as ad
 from zerommt import decoding as dec
 from zerommt import evaluation as ev
 from zerommt import model as m
@@ -19,11 +20,10 @@ class TableScorer:
 
     def __init__(self, table):
         self.table = table
-        self.calls = 0
 
-    def distributions(self, src, image, tgt):
-        self.calls += 1
-        return np.asarray(self.table[tuple(tgt)], dtype=np.float64)
+    def distributions(self, srcs, images, tgts):
+        return [np.asarray(self.table[tuple(t)], dtype=np.float64)
+                for t in tgts]
 
 
 def _dist(vocab, pairs):
@@ -43,7 +43,8 @@ def test_sequence_perplexity_hand_oracle():
     table = {
         tuple(tgt): [_dist(8, [(5, 0.5)]), _dist(8, [(m.EOS, 0.25)])],
     }
-    ppl = ev.sequence_perplexity(TableScorer(table), [5], None, tgt)
+    dists = TableScorer(table).distributions([(5,)], [None], [tuple(tgt)])[0]
+    ppl = ev.sequence_perplexity(dists, tgt)
     want = math.exp(-(math.log(0.5) + math.log(0.25)) / 2)
     assert abs(ppl - want) < 1e-12
 
@@ -54,15 +55,18 @@ def test_sequence_perplexity_certain_model_is_one():
         tuple(tgt): [_dist(8, [(6, 1.0)]), _dist(8, [(7, 1.0)]),
                      _dist(8, [(m.EOS, 1.0)])],
     }
-    assert abs(ev.sequence_perplexity(TableScorer(table), [6], None, tgt) - 1.0) < 1e-12
+    dists = TableScorer(table).distributions([(6,)], [None], [tuple(tgt)])[0]
+    assert abs(ev.sequence_perplexity(dists, tgt) - 1.0) < 1e-12
 
 
 def test_sequence_perplexity_rejects_malformed_target():
-    scorer = TableScorer({})
     with pytest.raises(ValueError):
-        ev.sequence_perplexity(scorer, [5], None, [m.BOS])
+        ev.sequence_perplexity(np.zeros((0, 8)), [m.BOS])
     with pytest.raises(ValueError):
-        ev.sequence_perplexity(scorer, [5], None, [m.BOS, 5, 6])
+        ev.sequence_perplexity(np.full((2, 8), 0.125), [m.BOS, 5, 6])
+    # one distribution per target token after BOS, no more, no less
+    with pytest.raises(ValueError):
+        ev.sequence_perplexity(np.full((3, 8), 0.125), [m.BOS, 5, m.EOS])
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +78,10 @@ def _two_target_scorer(p_good, p_bad, image_sensitive):
     and p_bad under image 1 (or p_good always, if image-blind)."""
 
     class S:
-        def distributions(self, src, image, tgt):
+        def distributions(self, srcs, images, tgts):
+            return [self._one(image, tgt) for image, tgt in zip(images, tgts)]
+
+        def _one(self, image, tgt):
             body = tgt[1:-1]
             if image_sensitive and image is not None and image[0] > 0.5:
                 p = {5: p_bad, 6: p_good}
@@ -218,7 +225,8 @@ def test_cfg_scorer_gamma_one_matches_multimodal(tiny_params):
     img = np.random.default_rng(9).standard_normal(tiny_params.config.image_dim)
     tgt = [m.BOS, 7, 8, m.EOS]
     assert np.allclose(
-        blend.distributions(src, img, tgt), mm.distributions(src, img, tgt),
+        blend.distributions([src], [img], [tgt])[0],
+        mm.distributions([src], [img], [tgt])[0],
         atol=1e-9,
     )
 
@@ -229,7 +237,8 @@ def test_text_only_scorer_ignores_image(tiny_params):
     src, tgt = [5, 6], [m.BOS, 7, m.EOS]
     img = np.ones(tiny_params.config.image_dim)
     assert np.array_equal(
-        scorer.distributions(src, None, tgt), scorer.distributions(src, img, tgt)
+        scorer.distributions([src], [None], [tgt])[0],
+        scorer.distributions([src], [img], [tgt])[0],
     )
 
 
@@ -238,9 +247,114 @@ def test_multimodal_scorer_shape_and_normalization(tiny_params):
     scorer = ev.MultimodalScorer(tiny_params)
     tgt = [m.BOS, 7, 8, m.EOS]
     img = np.zeros(tiny_params.config.image_dim)
-    dists = scorer.distributions([5, 6], img, tgt)
+    dists = scorer.distributions([[5, 6]], [img], [tgt])[0]
     assert dists.shape == (3, tiny_params.config.vocab_size)
     assert np.allclose(dists.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_multimodal_scorer_requires_images(tiny_params):
+    with pytest.raises(ValueError, match="image"):
+        ev.MultimodalScorer(tiny_params).distributions(
+            [(5, 6)], [None], [(m.BOS, 7, m.EOS)])
+
+
+# ---------------------------------------------------------------------------
+# batched scorers against a batch-1 reference forward
+
+
+def _reference_distributions(params, src, image, tgt, use_extras):
+    """The simple path: one unpadded forward per sequence, tape recorded."""
+    enc = m.encode(list(src), image if use_extras else None, params,
+                   use_extras=use_extras)
+    ids = np.asarray([tgt[:-1]], dtype=np.int64)
+    logits = m.decoder_logits(params, enc, ids, np.ones_like(ids, dtype=bool),
+                              use_extras=use_extras)
+    return ad.softmax(logits, axis=-1).data[0]
+
+
+def _mixed_length_set(config, n, seed):
+    """``n`` (src, image, tgt) triples with sources of 1-7 and targets of
+    2-9 tokens, so every chunk pads both sides."""
+    rng = np.random.default_rng(seed)
+    words = np.arange(4, config.vocab_size)
+    srcs, images, tgts = [], [], []
+    for _ in range(n):
+        srcs.append(tuple(int(t) for t in rng.choice(words, rng.integers(1, 8))))
+        images.append(rng.standard_normal(config.image_dim))
+        body = [int(t) for t in rng.choice(words, rng.integers(0, 8))]
+        tgts.append(tuple([m.BOS] + body + [m.EOS]))
+    return srcs, images, tgts
+
+
+def _max_relative_error(got, want):
+    """Largest per-row max-norm error, relative to the row's max-norm."""
+    return float((np.abs(got - want).max(axis=-1)
+                  / np.abs(want).max(axis=-1)).max())
+
+
+def test_batched_scorers_match_batch_one_reference(tiny_params):
+    m.randomize_extras(tiny_params, seed=17)
+    n = 2 * ev.SCORE_BATCH + 5
+    srcs, images, tgts = _mixed_length_set(tiny_params.config, n, seed=18)
+    text_ref = [_reference_distributions(tiny_params, x, i, y, False)
+                for x, i, y in zip(srcs, images, tgts)]
+    mm_ref = [_reference_distributions(tiny_params, x, i, y, True)
+              for x, i, y in zip(srcs, images, tgts)]
+    text = ev.TextOnlyScorer(tiny_params)
+    mm = ev.MultimodalScorer(tiny_params)
+    checks = [(text, text_ref), (mm, mm_ref)]
+    for space in ("log", "prob_clip"):
+        blend_ref = [
+            np.stack([dec.cfg_distribution(pt[j], pm[j], 2.5, space)
+                      for j in range(len(pt))])
+            for pt, pm in zip(text_ref, mm_ref)
+        ]
+        checks.append((ev.CfgScorer(text, mm, 2.5, space), blend_ref))
+    for scorer, want in checks:
+        got = scorer.distributions(srcs, images, tgts)
+        assert len(got) == n
+        for g, w, y in zip(got, want, tgts):
+            assert g.shape == (len(y) - 1, tiny_params.config.vocab_size)
+            assert _max_relative_error(g, w) < 1e-12
+
+
+def test_text_only_scorer_scores_each_pair_once(tiny_params, monkeypatch):
+    # the same (src, tgt) under two images goes through one forward row, so
+    # both get the same floats and the text-only base sits at exactly 50%
+    m.randomize_extras(tiny_params, seed=19)
+    srcs, images, tgts = _mixed_length_set(tiny_params.config,
+                                           ev.SCORE_BATCH, seed=20)
+    encoded = []
+    encode_batch = m.encode_batch
+
+    def counting(params, src_ids, *args, **kwargs):
+        encoded.append(len(src_ids))
+        return encode_batch(params, src_ids, *args, **kwargs)
+
+    monkeypatch.setattr(m, "encode_batch", counting)
+    flipped = [-i for i in images]
+    got = ev.TextOnlyScorer(tiny_params).distributions(
+        srcs + srcs[::-1], images + flipped[::-1], tgts + tgts[::-1])
+    assert encoded == [ev.SCORE_BATCH]
+    for a, b in zip(got[: len(srcs)], got[len(srcs):][::-1]):
+        assert a is b
+
+
+def test_vectorised_cfg_distribution_equals_row_loop_bytewise():
+    rng = np.random.default_rng(21)
+    pt = rng.dirichlet(np.ones(16), size=(3, 5))
+    pm = rng.dirichlet(np.full(16, 0.3), size=(3, 5))
+    pm[0, 0] = 0.0  # a row the clipped blend cannot renormalize
+    pt[0, 0] = 0.0
+    for space in ("log", "prob_clip"):
+        for gamma in (0.0, 0.5, 1.0, 2.0, 3.0):
+            got = dec.cfg_distribution(pt, pm, gamma, space)
+            want = np.stack([
+                np.stack([dec.cfg_distribution(pt[a, b], pm[a, b], gamma, space)
+                          for b in range(pt.shape[1])])
+                for a in range(pt.shape[0])
+            ])
+            assert got.tobytes() == want.tobytes(), (space, gamma)
 
 
 def test_make_scorer_dispatch(tiny_params):
@@ -266,8 +380,8 @@ def test_gamma_zero_is_the_text_only_base_bit_for_bit(tiny_params):
     img = np.random.default_rng(16).standard_normal(tiny_params.config.image_dim)
     scorer = ev.make_scorer(tiny_params, 0.0)
     assert type(scorer) is ev.TextOnlyScorer
-    want = ev.TextOnlyScorer(tiny_params).distributions(src, None, tgt)
-    assert np.array_equal(scorer.distributions(src, img, tgt), want)
+    want = ev.TextOnlyScorer(tiny_params).distributions([src], [None], [tgt])[0]
+    assert np.array_equal(scorer.distributions([src], [img], [tgt])[0], want)
     hyp = dec.translate(tiny_params, src, img, 0.0, width=3)
     base = dec.beam_search(tiny_params, src, image=None, width=3,
                            use_extras=False)
