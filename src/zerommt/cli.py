@@ -226,17 +226,28 @@ def cmd_train(config: RunConfig, out: Path, mode: str) -> None:
     )
 
 
+def _ambiguous_words(world: sc.World, instances, path: Path) -> list[int]:
+    """The ambiguous source word of each contrastive instance."""
+    words = [next((t for t in inst.src if t in world.amb_tgt), None)
+             for inst in instances]
+    for inst, word in zip(instances, words):
+        if word is None:
+            raise ValueError(f"{path}: instance {inst.id} has no ambiguous "
+                             "word of the world")
+    return words
+
+
 def _sense_accuracy(
     params: m.ModelParams,
     world: sc.World,
     instances: list[ev.ContrastiveInstance],
+    words: list[int],
     gamma: float,
     width: int,
     space: str,
 ) -> float:
     hits = total = 0
-    for inst in instances:
-        word = next(t for t in inst.src if t in world.amb_tgt)
+    for inst, word in zip(instances, words):
         for sense, img in ((0, inst.img_a), (1, inst.img_b)):
             hyp = decoding.translate(params, inst.src, img, gamma, width, space)
             want = world.sense_tokens(word)[sense]
@@ -261,6 +272,8 @@ def cmd_eval(
 ) -> None:
     world = _load_world(out)
     instances = _load_split_contrastive(out, "test_contrastive")
+    words = _ambiguous_words(world, instances,
+                             _corpus_dir(out) / "test_contrastive.jsonl")
     translation = _load_split_examples(out, "test_translation")
     width, space = config.eval_beam_width, config.cfg_space
     # the text-only report evaluates the frozen base at gamma = 0 and keeps
@@ -276,7 +289,8 @@ def cmd_eval(
     # the no-CFG accuracy is the multimodal model's (the base's when text-only)
     plain_acc = (report.contrastive_accuracy if text_only or eval_gamma == 1.0
                  else ev.commute_accuracy(ev.make_scorer(params), instances))
-    sense_acc = _sense_accuracy(params, world, instances, eval_gamma, width, space)
+    sense_acc = _sense_accuracy(params, world, instances, words, eval_gamma,
+                                width, space)
 
     run_dir = out / f"eval_{tag}"
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -5,10 +5,12 @@ the text-only and multimodal models. Done in log space and renormalized,
 so the output stays a valid distribution for every gamma while the
 gamma=0 and gamma=1 endpoints reproduce the inputs exactly. A clipped
 probability-space variant is available behind ``space='prob_clip'``.
-``translate`` is the one place that picks the text-only base, the
-multimodal model or the guidance blend for a sentence, from gamma alone:
-the base is the model with its extras off, so the two ends of the blend
-always come from one set of weights.
+``translate`` decodes a sentence with one model's text-only base, its
+multimodal side or the guidance blend of the two, from gamma alone; the
+base is the model with its extras off, so the two ends of the blend
+always come from one set of weights. It goes through ``cfg_beam_search``,
+which holds the one rule that the gamma = 0 and gamma = 1 endpoints run a
+single model.
 """
 
 from __future__ import annotations
@@ -155,20 +157,26 @@ def cfg_beam_search(
     base_params: ModelParams,
     mm_params: ModelParams,
     source: list[int],
-    image: np.ndarray,
+    image: np.ndarray | None,
     gamma: float,
     width: int = 4,
     space: str = "log",
 ) -> Hypothesis:
     """Beam search over the guidance blend of base and multimodal models, up
-    to the multimodal model's ``max_len`` tokens."""
+    to the multimodal model's ``max_len`` tokens.
+
+    The endpoints run one model alone and reproduce its beam search bit for
+    bit: the base (extras off) at gamma = 0, where the image is never read,
+    and the multimodal model at gamma = 1.
+    """
     if base_params.config.vocab_size != mm_params.config.vocab_size:
         raise ValueError("base and multimodal models must share the vocabulary")
     max_len = mm_params.config.max_len
-    text_step = _model_step_fn(base_params, source, None, use_extras=False)
-    mm_step = _model_step_fn(mm_params, source, image, use_extras=True)
-
-    # the endpoints reproduce the single models exactly, bit for bit
+    # each model is encoded only where the blend reads it
+    if gamma != 1.0:
+        text_step = _model_step_fn(base_params, source, None, use_extras=False)
+    if gamma != 0.0:
+        mm_step = _model_step_fn(mm_params, source, image, use_extras=True)
     if gamma == 0.0:
         return beam_search_steps(text_step, width, max_len)
     if gamma == 1.0:
@@ -190,11 +198,5 @@ def translate(
 ) -> Hypothesis:
     """Translate one sentence with ``params``: its text-only base (extras
     off, image ignored) at gamma = 0, the multimodal model at gamma = 1,
-    else the guidance blend of the two."""
-    if gamma == 0.0:
-        return beam_search(params, source, image=None, width=width,
-                           use_extras=False)
-    if gamma == 1.0:
-        return beam_search(params, source, image=image, width=width)
-    return cfg_beam_search(params, params, source, image, gamma,
-                           width=width, space=space)
+    else the guidance blend of the two (see ``cfg_beam_search``)."""
+    return cfg_beam_search(params, params, source, image, gamma, width, space)

@@ -90,22 +90,16 @@ class _ModelScorer:
 
     def distributions(self, srcs, images, tgts) -> list[np.ndarray]:
         """One (len(tgt) - 1, V) array of next-token distributions per
-        (source, image, target), from one padded, tape-free forward per
-        ``SCORE_BATCH`` sequences."""
-        if self.use_extras and any(i is None for i in images):
-            raise ValueError("the multimodal scorer needs an image per sequence")
+        (source, image, target), from one padded, tape-free
+        ``model.teacher_forced_logits`` per ``SCORE_BATCH`` sequences."""
         out = []
         for k in range(0, len(tgts), SCORE_BATCH):
             chunk = tgts[k : k + SCORE_BATCH]
-            src_ids, src_valid = m.pad_batch(srcs[k : k + SCORE_BATCH])
-            tgt_in, tgt_valid = m.pad_batch([t[:-1] for t in chunk])
-            imgs = (np.array(images[k : k + SCORE_BATCH], dtype=np.float64)
-                    if self.use_extras else None)
+            imgs = images[k : k + SCORE_BATCH] if self.use_extras else None
             with ad.no_grad():
-                enc = m.encode_batch(self.params, src_ids, src_valid, imgs,
-                                     use_extras=self.use_extras)
-                logits = m.decoder_logits(self.params, enc, tgt_in, tgt_valid,
-                                          use_extras=self.use_extras)
+                logits = m.teacher_forced_logits(
+                    self.params, srcs[k : k + SCORE_BATCH], imgs, chunk,
+                    use_extras=self.use_extras)
                 probs = ad.softmax(logits, axis=-1).data
             out += [probs[b, : len(t) - 1] for b, t in enumerate(chunk)]
         return out
@@ -207,8 +201,7 @@ def commute_rows(
 
 def commute_accuracy(scorer, instances: list[ContrastiveInstance]) -> float:
     """Mean contrastive score over both orientations of every instance, x100."""
-    rows = commute_rows(scorer, instances)
-    return 100.0 * sum(r.score for r in rows) / len(rows)
+    return evaluate_contrastive(scorer, instances).contrastive_accuracy
 
 
 def contrastive_margin(rows: list[InstanceRow]) -> float:
@@ -224,13 +217,16 @@ def contrastive_margin(rows: list[InstanceRow]) -> float:
 
 
 def evaluate_contrastive(
-    scorer, instances: list[ContrastiveInstance], bleu_score: float = float("nan")
+    scorer, instances: list[ContrastiveInstance]
 ) -> EvalReport:
+    """The contrastive report of ``scorer``; ``bleu`` is left NaN for the
+    caller to fill in."""
     rows = commute_rows(scorer, instances)
     n_ties = sum(1 for r in rows if r.ppl_correct == r.ppl_wrong)
     return EvalReport(
         contrastive_accuracy=100.0 * sum(r.score for r in rows) / len(rows),
-        bleu=bleu_score,
+        # math.nan is one object, so equal reports compare equal as dicts
+        bleu=math.nan,
         mean_ppl_correct=float(np.mean([r.ppl_correct for r in rows])),
         mean_ppl_wrong=float(np.mean([r.ppl_wrong for r in rows])),
         n_ties=n_ties,

@@ -236,8 +236,8 @@ def randomize_extras(params: ModelParams, seed: int, scale: float = 0.05) -> Non
 def pad_batch(seqs) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad token sequences with PAD: ids (B, S) and the (B, S) mask
     of real positions."""
-    if any(len(s) == 0 for s in seqs):
-        raise ValueError("empty sequence in batch")
+    if not seqs or any(len(s) == 0 for s in seqs):
+        raise ValueError("empty batch or empty sequence in batch")
     ids = np.full((len(seqs), max(len(s) for s in seqs)), PAD, dtype=np.int64)
     valid = np.zeros(ids.shape, dtype=bool)
     for b, s in enumerate(seqs):
@@ -417,6 +417,23 @@ def decoder_logits(
         y = ad.add(y, h)
     y = _ln(params, "dec_ln", y)
     return ad.linear(y, p["head_w"], p["head_b"])
+
+
+def teacher_forced_logits(params: ModelParams, srcs, images, tgts,
+                          use_extras: bool = True) -> Tensor:
+    """The one teacher-forced forward of a (source, image, target) batch:
+    logits (B, T, V) after each BOS-led target's tokens but its last, with
+    sources and targets right-padded. With the extras off ``images`` is
+    never read and may be None."""
+    src_ids, src_valid = pad_batch(srcs)
+    tgt_in, tgt_valid = pad_batch([t[:-1] for t in tgts])
+    stacked = None
+    if use_extras:
+        if images is None or any(i is None for i in images):
+            raise ValueError("every sequence needs an image with the extras on")
+        stacked = np.stack([np.asarray(i, dtype=np.float64) for i in images])
+    enc = encode_batch(params, src_ids, src_valid, stacked, use_extras=use_extras)
+    return decoder_logits(params, enc, tgt_in, tgt_valid, use_extras=use_extras)
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import (
-    BOS,
-    EOS,
-    MASK,
-    ModelParams,
-    decoder_logits,
-    encode_batch,
-    pad_batch,
-)
+from .model import BOS, EOS, MASK, ModelParams, pad_batch, teacher_forced_logits
 
 LOG_FLOOR = 1e-12
 # tokens at least this fraction as probable under the frozen base as the
@@ -91,55 +83,28 @@ class Batch:
         return len(self.examples)
 
 
-def _pad_sources(
-    examples: list[BatchExample], masked: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    for ex in examples:
-        row = list(ex.src)
-        if masked:
-            for j in ex.mask_set:
-                row[j] = MASK
-        rows.append(row)
-    return pad_batch(rows)
-
-
-def _pad_targets(
-    examples: list[BatchExample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    tgt_in, valid = pad_batch([ex.tgt[:-1] for ex in examples])
-    tgt_out, _ = pad_batch([ex.tgt[1:] for ex in examples])
-    return tgt_in, tgt_out, valid, valid.astype(np.float64)
-
-
-def _stack_images(examples: list[BatchExample]) -> np.ndarray:
-    if any(ex.image is None for ex in examples):
-        raise ValueError("every example needs an image for this objective")
-    return np.stack([np.asarray(ex.image, dtype=np.float64) for ex in examples])
-
-
 def _teacher_forced(
     examples: list[BatchExample],
     params: ModelParams,
     masked: bool,
     multimodal: bool,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """The one teacher-forced forward: log-probabilities (B, T, V) of every
-    target position, the gold next tokens (B, T) and the token weights
-    (B, T), zero on padding.
+    """Log-probabilities (B, T, V) of every target position under
+    ``model.teacher_forced_logits``, the gold next tokens (B, T) and the
+    token weights (B, T), zero on padding.
 
     ``masked`` replaces each example's ``mask_set`` with MASK in the
     source; ``multimodal`` feeds the images and switches the extras on
     (off, the pass is the text-only base).
     """
-    if not examples:
-        raise ValueError("empty batch")
-    src, src_valid = _pad_sources(examples, masked)
-    tgt_in, tgt_out, tgt_valid, w = _pad_targets(examples)
-    images = _stack_images(examples) if multimodal else None
-    enc = encode_batch(params, src, src_valid, images, use_extras=multimodal)
-    logits = decoder_logits(params, enc, tgt_in, tgt_valid, use_extras=multimodal)
-    return ad.log_softmax(logits, axis=-1), tgt_out, w
+    srcs = [[MASK if masked and j in ex.mask_set else tok
+             for j, tok in enumerate(ex.src)] for ex in examples]
+    logits = teacher_forced_logits(
+        params, srcs, [ex.image for ex in examples],
+        [ex.tgt for ex in examples], use_extras=multimodal,
+    )
+    tgt_out, valid = pad_batch([ex.tgt[1:] for ex in examples])
+    return ad.log_softmax(logits, axis=-1), tgt_out, valid.astype(np.float64)
 
 
 def _nll(

@@ -16,6 +16,7 @@ its own seed stream keyed by (seed, split, index).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -53,10 +54,11 @@ class WorldSpec:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0.0 < self.caption_domain_fraction <= 1.0:
             raise ValueError("caption_domain_fraction must be in (0, 1]")
-        if self.sense_cluster_separation <= 0:
-            raise ValueError("sense_cluster_separation must be positive")
-        if self.image_noise_sigma < 0:
-            raise ValueError("image_noise_sigma must be nonnegative")
+        # chained comparisons are false for NaN, so these reject it too
+        if not 0.0 < self.sense_cluster_separation < math.inf:
+            raise ValueError("sense_cluster_separation must be finite and positive")
+        if not 0.0 <= self.image_noise_sigma < math.inf:
+            raise ValueError("image_noise_sigma must be finite and nonnegative")
 
 
 @dataclass

@@ -33,8 +33,8 @@ class FreezingViolation(RuntimeError):
 
 def _validate_schedule(config) -> None:
     """Checks shared by ``PretrainConfig`` and ``TrainConfig``."""
-    if config.lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0.0 < config.lr < math.inf:  # false for NaN too
+        raise ValueError(f"lr must be finite and positive, got {config.lr}")
     if config.batch_size < 1 or config.max_steps < 1:
         raise ValueError("batch_size and max_steps must be positive")
 
@@ -288,11 +288,10 @@ def train(
             "val_bleu": "",
         }
         if step % config.eval_every == 0 or step == config.max_steps:
-            if not checkpoints or checkpoints[-1].step != step:
-                cp = snapshot(step)
-                checkpoints.append(cp)
-                row["val_contrastive"] = cp.contrastive_acc
-                row["val_bleu"] = cp.bleu
+            cp = snapshot(step)
+            checkpoints.append(cp)
+            row["val_contrastive"] = cp.contrastive_acc
+            row["val_bleu"] = cp.bleu
         log_rows.append(row)
 
     best = select_model(checkpoints)

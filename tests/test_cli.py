@@ -263,6 +263,38 @@ def test_world_missing_a_field_names_the_file_and_field(run_dir, tmp_path,
     assert f"{path}: missing field '{drop}'" in err
 
 
+def test_eval_names_a_contrastive_instance_without_an_ambiguous_word(
+        run_dir, tmp_path, capsys, monkeypatch):
+    # checked against the world before any scoring, not a bare StopIteration
+    # after it
+    config_path, out = run_dir
+    bad = tmp_path / "bad"
+    shutil.copytree(out / "corpus", bad / "corpus")
+    shutil.copytree(out / "train_full", bad / "train_full")
+    world = sc.world_from_dict(
+        json.loads((bad / "corpus" / "world.json").read_text())["world"])
+    path = bad / "corpus" / "test_contrastive.jsonl"
+    instances = sc.read_contrastive(path)
+    victim = instances[1]
+    victim.src = [world.plain_src[0] if t in world.amb_tgt else t
+                  for t in victim.src]
+    sc.write_contrastive(path, instances)
+    scored = []
+
+    def recording(scorer, instances, _rows=ev.commute_rows):
+        scored.append(type(scorer).__name__)
+        return _rows(scorer, instances)
+
+    monkeypatch.setattr(ev, "commute_rows", recording)
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(config_path),
+                     "--out", str(bad), "--gamma", "2.0"]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: instance {victim.id} has no ambiguous word" in err
+    assert scored == []
+    assert not (bad / "eval_gamma2").exists()
+
+
 def test_sweep_gamma_writes_grid(run_dir):
     config_path, out = run_dir
     assert cli.main(["sweep", "--config", str(config_path), "--out", str(out),

@@ -213,6 +213,32 @@ def test_cfg_beam_endpoints_bit_exact(tiny_params):
     assert g1.tokens == mm_hyp.tokens and g1.logp == mm_hyp.logp
 
 
+def test_cfg_beam_encodes_only_the_models_it_reads(tiny_params, monkeypatch):
+    # the endpoints run one model alone: at gamma = 0 the image is never
+    # encoded, so one of the wrong dimension is accepted as translate does
+    m.randomize_extras(tiny_params, seed=7)
+    src = [5, 6, 7]
+    img = np.random.default_rng(8).standard_normal(tiny_params.config.image_dim)
+    encoded = []
+    encode = m.encode
+
+    def counting(x, i, params, use_extras=True):
+        encoded.append(use_extras)
+        return encode(x, i, params, use_extras=use_extras)
+
+    monkeypatch.setattr(m, "encode", counting)
+    for gamma, want in ((0.0, [False]), (1.0, [True]), (2.0, [False, True])):
+        encoded.clear()
+        dec.cfg_beam_search(tiny_params, tiny_params, src, img, gamma, width=2)
+        assert encoded == want, gamma
+    wrong = np.zeros(tiny_params.config.image_dim + 3)
+    encoded.clear()
+    hyp = dec.cfg_beam_search(tiny_params, tiny_params, src, wrong, 0.0,
+                              width=2)
+    assert encoded == [False]
+    assert hyp == dec.translate(tiny_params, src, wrong, 0.0, width=2)
+
+
 def test_cfg_beam_rejects_vocab_mismatch(tiny_params, tiny_config):
     import dataclasses
 

@@ -12,6 +12,7 @@ from zerommt import autodiff as ad
 from zerommt import decoding as dec
 from zerommt import evaluation as ev
 from zerommt import model as m
+from zerommt import objectives as obj
 from zerommt.evaluation import ContrastiveInstance
 
 
@@ -253,9 +254,25 @@ def test_multimodal_scorer_shape_and_normalization(tiny_params):
 
 
 def test_multimodal_scorer_requires_images(tiny_params):
-    with pytest.raises(ValueError, match="image"):
-        ev.MultimodalScorer(tiny_params).distributions(
-            [(5, 6)], [None], [(m.BOS, 7, m.EOS)])
+    # the scorer and the image objectives share one teacher-forced forward,
+    # and with it one error for a sequence without an image
+    img = np.zeros(tiny_params.config.image_dim)
+    batch = obj.Batch([obj.BatchExample(src=[5, 6], tgt=[m.BOS, 7, m.EOS],
+                                        image=img),
+                       obj.BatchExample(src=[5], tgt=[m.BOS, 7, m.EOS])])
+    calls = [
+        lambda: ev.MultimodalScorer(tiny_params).distributions(
+            [(5, 6), (5,)], [img, None], [(m.BOS, 7, m.EOS)] * 2),
+        lambda: obj.vmlm_loss(batch, tiny_params),
+        lambda: obj.mmt_loss(batch, tiny_params),
+        lambda: obj.kl_penalty(batch, tiny_params),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError, match="image") as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 # ---------------------------------------------------------------------------

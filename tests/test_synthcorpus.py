@@ -67,6 +67,11 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(SPEC, **bad).validate()
+    # json.load accepts NaN and Infinity; each is rejected by field name
+    for field in ("sense_cluster_separation", "image_noise_sigma"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                dataclasses.replace(SPEC, **{field: value}).validate()
 
 
 def test_translate_token_rules(world):

@@ -82,6 +82,11 @@ def test_train_config_validation():
         with pytest.raises(ValueError):
             PretrainConfig(**bad).validate()
     PretrainConfig().validate()
+    # json.load accepts NaN and Infinity; each is rejected by field name
+    for value in (float("nan"), float("inf")):
+        for cls in (TrainConfig, PretrainConfig):
+            with pytest.raises(ValueError, match="^lr must be finite"):
+                cls(lr=value).validate()
 
 
 # ---------------------------------------------------------------------------
