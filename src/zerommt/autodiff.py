@@ -29,7 +29,8 @@ class Tensor:
     parents and a closure that routes the incoming gradient. Nodes whose
     parents all have ``requires_grad=False``, and every node made inside
     ``no_grad``, record nothing, so frozen-model and inference forwards
-    build no graph at all.
+    build no graph at all. A closure computes the gradient of only those
+    parents that require grad, so frozen weights cost no backward work.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -116,8 +117,10 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from e
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(data, (a, b), bwd)
 
@@ -143,8 +146,10 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from e
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), bwd)
 
@@ -180,8 +185,10 @@ def matmul(a, b) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        _accumulate(a, ga)
+        if a.requires_grad:
+            _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if not b.requires_grad:
+            return
         if b.ndim == 2:
             gb = np.matmul(
                 a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1])
@@ -288,16 +295,18 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     data = gain.data * xhat + bias.data
 
     def bwd(g):
-        gg = g * gain.data
-        gx = inv * (
-            gg
-            - gg.mean(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
-        )
-        _accumulate(x, gx)
+        if x.requires_grad:
+            gg = g * gain.data
+            _accumulate(x, inv * (
+                gg
+                - gg.mean(axis=-1, keepdims=True)
+                - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+            ))
         axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=axes))
-        _accumulate(bias, g.sum(axis=axes))
+        if gain.requires_grad:
+            _accumulate(gain, (g * xhat).sum(axis=axes))
+        if bias.requires_grad:
+            _accumulate(bias, g.sum(axis=axes))
 
     return _make(data, (x, gain, bias), bwd)
 

@@ -11,6 +11,11 @@ base is the model with its extras off, so the two ends of the blend
 always come from one set of weights. It goes through ``cfg_beam_search``,
 which holds the one rule that the gamma = 0 and gamma = 1 endpoints run a
 single model.
+
+Beam search asks its step function once per step for every live
+hypothesis. The live hypotheses always have equal length, so a model
+steps them in one ``model.decode_step`` call without padding, and every
+distribution is bit-identical to the one of its prefix alone.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from .model import ModelParams
 
 PROB_FLOOR = 1e-12
 
-StepFn = Callable[[tuple[int, ...]], np.ndarray]
+# n equal-length BOS-led prefixes -> (n, V) next-token distributions
+StepFn = Callable[[list[tuple[int, ...]]], np.ndarray]
 
 
 @dataclass
@@ -75,11 +81,12 @@ def beam_search_steps(
 ) -> Hypothesis:
     """Length-unnormalized beam search over a next-token distribution.
 
-    ``step_fn`` maps a BOS-led prefix to a probability vector. Hypotheses
-    that emit EOS are retired; the best finished hypothesis (cumulative
-    log-probability, ties broken by token ids) is returned. If nothing
-    finishes within ``max_len`` generated tokens, the best unfinished
-    hypothesis is returned with ``finished=False``.
+    ``step_fn`` maps the BOS-led prefixes of all live hypotheses, which
+    have equal length, to one probability row each; it is called once per
+    step. Hypotheses that emit EOS are retired; the best finished
+    hypothesis (cumulative log-probability, ties broken by token ids) is
+    returned. If nothing finishes within ``max_len`` generated tokens, the
+    best unfinished hypothesis is returned with ``finished=False``.
     """
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
@@ -87,10 +94,10 @@ def beam_search_steps(
     done: list[Hypothesis] = []
     for _ in range(max_len):
         candidates: list[Hypothesis] = []
-        for hyp in live:
-            probs = step_fn((m.BOS,) + hyp.tokens)
-            logs = np.log(np.maximum(probs, PROB_FLOOR))
-            for tok in range(len(probs)):
+        probs = step_fn([(m.BOS,) + hyp.tokens for hyp in live])
+        for hyp, row in zip(live, probs):
+            logs = np.log(np.maximum(row, PROB_FLOOR))
+            for tok in range(len(row)):
                 if tok in forbidden:
                     continue
                 candidates.append(
@@ -125,14 +132,17 @@ def _model_step_fn(
     image: np.ndarray | None,
     use_extras: bool,
 ) -> StepFn:
-    """Next-token distributions of ``params`` for ``source``, encoded once;
-    both passes run tape-free."""
+    """Next-token distributions of ``params`` for ``source``, encoded once
+    and repeated once per batch size; both passes run tape-free."""
     with ad.no_grad():
-        enc = m.encode(source, image, params, use_extras=use_extras)
+        encoded = {1: m.encode(source, image, params, use_extras=use_extras)}
 
-    def step(prefix: tuple[int, ...]) -> np.ndarray:
+    def step(prefixes: list[tuple[int, ...]]) -> np.ndarray:
+        n = len(prefixes)
         with ad.no_grad():
-            return m.decode_step(enc, list(prefix), params,
+            if n not in encoded:
+                encoded[n] = encoded[1].repeat(n)
+            return m.decode_step(encoded[n], prefixes, params,
                                  use_extras=use_extras)
 
     return step
@@ -182,8 +192,9 @@ def cfg_beam_search(
     if gamma == 1.0:
         return beam_search_steps(mm_step, width, max_len)
 
-    def step(prefix: tuple[int, ...]) -> np.ndarray:
-        return cfg_distribution(text_step(prefix), mm_step(prefix), gamma, space)
+    def step(prefixes: list[tuple[int, ...]]) -> np.ndarray:
+        return cfg_distribution(text_step(prefixes), mm_step(prefixes), gamma,
+                                space)
 
     return beam_search_steps(step, width, max_len)
 

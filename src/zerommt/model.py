@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -118,6 +119,19 @@ class EncoderStates:
     text_valid: np.ndarray
     self_valid: np.ndarray
     has_image: bool
+
+    def repeat(self, n: int) -> "EncoderStates":
+        """These batch-1 states n times along the batch axis, for decoding
+        n prefixes against one source in one call."""
+        if self.states.shape[0] != 1:
+            raise ValueError(
+                f"only batch-1 states repeat, got batch {self.states.shape[0]}")
+        return EncoderStates(
+            states=ad.concat([self.states] * n, axis=0),
+            text_valid=np.repeat(self.text_valid, n, axis=0),
+            self_valid=np.repeat(self.self_valid, n, axis=0),
+            has_image=self.has_image,
+        )
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -230,7 +244,7 @@ def randomize_extras(params: ModelParams, seed: int, scale: float = 0.05) -> Non
 
 
 # ---------------------------------------------------------------------------
-# forward passes (batched; single-example API wraps batch size 1)
+# forward passes (batched; the single-source API below wraps them)
 
 
 def pad_batch(seqs) -> tuple[np.ndarray, np.ndarray]:
@@ -437,7 +451,8 @@ def teacher_forced_logits(params: ModelParams, srcs, images, tgts,
 
 
 # ---------------------------------------------------------------------------
-# single-example convenience API
+# single-source API: one source encoded at batch 1, its prefixes decoded
+# as one batch
 
 
 def encode(
@@ -458,25 +473,38 @@ def encode(
 
 def decode_step(
     enc: EncoderStates,
-    prefix: list[int],
+    prefixes: Sequence[Sequence[int]],
     params: ModelParams,
     use_extras: bool = True,
     attn_sink: dict | None = None,
 ) -> np.ndarray:
-    """Next-token probability vector given a BOS-led prefix."""
-    if not prefix or prefix[0] != BOS:
+    """Next-token probabilities (n, V), one row per prefix, for n BOS-led
+    prefixes of equal length in one ``decoder_logits`` call.
+
+    ``enc`` holds the source n times (see ``EncoderStates.repeat``). Equal
+    lengths leave no padding, so each row is bit-identical to a call with
+    its prefix alone.
+    """
+    if len(prefixes) == 0:
+        raise ValueError("decode_step needs at least one prefix")
+    if any(len(p) != len(prefixes[0]) for p in prefixes):
+        raise ValueError("prefixes must have equal length")
+    if any(len(p) == 0 or p[0] != BOS for p in prefixes):
         raise ValueError("prefix must begin with BOS")
-    if len(prefix) > params.config.max_len:
+    if len(prefixes[0]) > params.config.max_len:
         raise ValueError(
-            f"prefix length {len(prefix)} exceeds max_len {params.config.max_len}"
+            f"prefix length {len(prefixes[0])} exceeds max_len "
+            f"{params.config.max_len}"
         )
-    ids = np.asarray([prefix], dtype=np.int64)
+    if enc.states.shape[0] != len(prefixes):
+        raise ValueError(f"encoder batch {enc.states.shape[0]} != "
+                         f"{len(prefixes)} prefixes")
+    ids = np.asarray(prefixes, dtype=np.int64)
     valid = np.ones_like(ids, dtype=bool)
     logits = decoder_logits(
         params, enc, ids, valid, use_extras=use_extras, attn_sink=attn_sink
     )
-    probs = ad.softmax(logits, axis=-1)
-    return probs.data[0, -1]
+    return ad.softmax(logits, axis=-1).data[:, -1]
 
 
 def apply_source_mask(

@@ -194,14 +194,25 @@ def base_teacher_logprobs(
     frozen_params: ModelParams, examples: list[BatchExample]
 ) -> list[np.ndarray]:
     """Frozen-base next-token log-probabilities, one (m-1, V) array per
-    example. The base never sees images or masks, so these are constants
-    that can be computed once per corpus and reused every epoch."""
-    out: list[np.ndarray] = []
-    # one example per forward: padding into a batch would move float rounding
-    for ex in examples:
-        lp, _, _ = _teacher_forced([ex], frozen_params, masked=False,
-                                   multimodal=False)
-        out.append(lp.data[0])
+    example, in input order. The base never sees images or masks, so these
+    are constants that can be computed once per corpus and reused every
+    epoch.
+
+    Examples with equal source and target lengths share one tape-free
+    forward. Equal shapes leave no padding, so every array is bit-identical
+    to a forward of its example alone.
+    """
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for k, ex in enumerate(examples):
+        buckets.setdefault((len(ex.src), len(ex.tgt)), []).append(k)
+    out: list[np.ndarray] = [None] * len(examples)
+    with ad.no_grad():
+        for idx in buckets.values():
+            lp, _, _ = _teacher_forced([examples[k] for k in idx],
+                                       frozen_params, masked=False,
+                                       multimodal=False)
+            for k, rows in zip(idx, lp.data):
+                out[k] = rows
     return out
 
 

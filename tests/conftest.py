@@ -5,9 +5,16 @@ projector) while making forward passes cheap."""
 import dataclasses
 
 import pytest
+from hypothesis import settings
 
 from zerommt import autodiff as ad
 from zerommt import model as m
+
+# property tests draw the same examples on every run, so Tier-1 stays
+# reproducible; no deadline, since a shared machine's timings vary
+settings.register_profile("tier1", derandomize=True, max_examples=40,
+                          deadline=None, database=None)
+settings.load_profile("tier1")
 
 TINY = m.ModelConfig(
     vocab_size=16,

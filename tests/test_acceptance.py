@@ -481,8 +481,10 @@ def test_beam_search_equals_exhaustive_search(report):
     mismatches = 0
     for seed in range(100):
         step = _random_step_fn(seed, vocab)
-        got = dec.beam_search_steps(step, width=512, max_len=max_len,
-                                    eos_id=2, forbidden=())
+        # the batched step protocol: one stacked table row per prefix
+        got = dec.beam_search_steps(
+            lambda prefixes: np.stack([step(p) for p in prefixes]),
+            width=512, max_len=max_len, eos_id=2, forbidden=())
         want = _exhaustive_best(step, vocab, max_len, eos_id=2)
         same = (
             got.tokens == want.tokens
@@ -585,6 +587,32 @@ def test_perplexity_matches_scalar_oracle(report):
 # determinism: same configuration and seed, byte-identical artifacts
 
 
+def _equal_or_both_nan(a, b) -> bool:
+    """``a == b`` through dicts and lists, with two NaNs counted equal
+    (plain ``==`` holds for a NaN only against the very same object)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(
+            _equal_or_both_nan(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(
+            _equal_or_both_nan(x, y) for x, y in zip(a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return a == b
+
+
+def test_equal_or_both_nan():
+    nan = {"bleu": float("nan"), "rows": [{"score": 1.0}]}
+    assert _equal_or_both_nan(nan, {"bleu": float("nan"),
+                                    "rows": [{"score": 1.0}]})
+    for other in ({"bleu": 0.0, "rows": [{"score": 1.0}]},
+                  {"bleu": float("nan"), "rows": [{"score": 2.0}]},
+                  {"bleu": float("nan"), "rows": []},
+                  {"bleu": float("nan")}):
+        assert not _equal_or_both_nan(nan, other)
+        assert not _equal_or_both_nan(other, nan)
+
+
 def test_determinism(pipeline, tmp_path, report):
     # corpus files
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -620,7 +648,7 @@ def test_determinism(pipeline, tmp_path, report):
     )
     eval_same = (
         eval_a.rows_csv() == eval_b.rows_csv()
-        and eval_a.to_dict() == eval_b.to_dict()
+        and _equal_or_both_nan(eval_a.to_dict(), eval_b.to_dict())
     )
 
     ok = corpus_same and csv_same and eval_same

@@ -9,6 +9,7 @@ import pytest
 from zerommt import autodiff as ad
 from zerommt import decoding as dec
 from zerommt import model as m
+from zerommt import objectives as obj
 from zerommt.autodiff import ShapeError, Tensor
 
 
@@ -257,6 +258,43 @@ def test_frozen_leaves_get_no_gradient():
     assert np.array_equal(a.grad, np.ones(3))
 
 
+def test_frozen_parents_change_no_extra_gradient(tiny_params):
+    """Backward skips the gradients of frozen parents: each extra's
+    gradient is the one it gets with the base unfrozen, to the bit."""
+    m.randomize_extras(tiny_params, seed=6)
+    batch = obj.Batch([obj.BatchExample(
+        src=[5, 6, 7], tgt=[m.BOS, 8, 9, m.EOS],
+        image=np.linspace(-1.0, 1.0, tiny_params.config.image_dim),
+        mask_set=(1,))])
+
+    def backprop():
+        tiny_params.zero_grads()
+        loss, _, _ = obj.adaptation_loss(batch, tiny_params, "full", 1.0)
+        ad.backward(loss)
+        return {n: tiny_params.tensors[n].grad.tobytes()
+                for n in tiny_params.extra_names()}
+
+    frozen = backprop()
+    assert all(tiny_params.tensors[n].grad is None
+               for n in tiny_params.base_names())
+    tiny_params.unfreeze_base()
+    assert backprop() == frozen
+    assert all(tiny_params.tensors[n].grad is not None
+               for n in tiny_params.base_names())
+
+
+def test_grad_check_with_frozen_operands():
+    rng = np.random.default_rng(3)
+    w, c = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal(4))
+    gain, bias = Tensor(rng.random(4) + 0.5), Tensor(rng.standard_normal(4))
+
+    def f(x):
+        return ad.layer_norm(ad.add(ad.mul(ad.matmul(x, w), c), c), gain, bias)
+
+    assert ad.grad_check(f, rng.standard_normal((2, 3))) < GRAD_TOL
+    assert all(t.grad is None for t in (w, c, gain, bias))
+
+
 def test_gradient_accumulates_over_reuse():
     x = Tensor(np.array([3.0]), requires_grad=True)
     _sum_backward(ad.add(x, x))
@@ -328,10 +366,11 @@ def test_beam_searches_unchanged_by_no_grad(tiny_params):
     def taped_step(image, use_extras):
         enc = m.encode(src, image, tiny_params, use_extras=use_extras)
 
-        def step(prefix):
+        def step(prefixes):
             assert ad.is_recording()
-            return m.decode_step(enc, list(prefix), tiny_params,
-                                 use_extras=use_extras)
+            return np.stack([m.decode_step(enc, [p], tiny_params,
+                                           use_extras=use_extras)[0]
+                             for p in prefixes])
 
         return step
 
@@ -343,7 +382,7 @@ def test_beam_searches_unchanged_by_no_grad(tiny_params):
     want = dec.beam_search_steps(mm, 3, max_len)
     assert key(dec.beam_search(tiny_params, src, img, width=3)) == key(want)
     for gamma, ref in ((0.0, text), (1.0, mm), (
-            2.0, lambda p: dec.cfg_distribution(text(p), mm(p), 2.0))):
+            2.0, lambda ps: dec.cfg_distribution(text(ps), mm(ps), 2.0))):
         want = dec.beam_search_steps(ref, 3, max_len)
         got = dec.cfg_beam_search(tiny_params, tiny_params, src, img, gamma,
                                   width=3)

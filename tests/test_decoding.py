@@ -102,6 +102,12 @@ def _random_step_fn(seed, vocab):
     return step
 
 
+def _batched(row_fn):
+    """The batched step protocol over a one-prefix table: one stacked row
+    per prefix."""
+    return lambda prefixes: np.stack([row_fn(p) for p in prefixes])
+
+
 def _exhaustive_best(step_fn, vocab, max_len, eos_id, forbidden):
     """Enumerate every decode path and apply the same ranking rules."""
     allowed = [t for t in range(vocab) if t not in forbidden]
@@ -132,7 +138,7 @@ def test_beam_equals_exhaustive_enumeration(seed):
     vocab, max_len = 5, 4
     step = _random_step_fn(seed, vocab)
     # width >= the 4^3 * 5 candidates at the last depth: nothing is pruned
-    got = dec.beam_search_steps(step, width=512, max_len=max_len,
+    got = dec.beam_search_steps(_batched(step), width=512, max_len=max_len,
                                 eos_id=2, forbidden=())
     want = _exhaustive_best(step, vocab, max_len, eos_id=2, forbidden=())
     assert got.tokens == want.tokens
@@ -142,7 +148,7 @@ def test_beam_equals_exhaustive_enumeration(seed):
 
 def test_beam_respects_forbidden_tokens():
     step = _random_step_fn(99, 6)
-    hyp = dec.beam_search_steps(step, width=8, max_len=5)
+    hyp = dec.beam_search_steps(_batched(step), width=8, max_len=5)
     assert all(t not in (m.PAD, m.BOS, m.MASK) for t in hyp.tokens)
 
 
@@ -158,7 +164,7 @@ def test_beam_hand_example_prefers_high_probability_path():
     def step(prefix):
         return table[prefix]
 
-    hyp = dec.beam_search_steps(step, width=4, max_len=3)
+    hyp = dec.beam_search_steps(_batched(step), width=4, max_len=3)
     # candidates: () at log 0.3 ~ -1.20, (4,) at log(0.7*0.8) ~ -0.58,
     # (4,4) at log(0.7*0.2*1.0) ~ -1.97
     assert hyp.tokens == (4,)
@@ -170,7 +176,7 @@ def test_beam_uniform_distribution_breaks_ties_lexicographically():
     def step(prefix):
         return np.full(8, 1.0 / 8)
 
-    hyp = dec.beam_search_steps(step, width=4, max_len=3)
+    hyp = dec.beam_search_steps(_batched(step), width=4, max_len=3)
     # every candidate has equal score; EOS (token 2) wins by token order
     assert hyp.tokens == ()
     assert hyp.finished
@@ -183,14 +189,15 @@ def test_beam_returns_unfinished_when_eos_unreachable():
         return p
 
     # width 1 keeps only the probability-1 token, so EOS never enters
-    hyp = dec.beam_search_steps(step, width=1, max_len=4)
+    hyp = dec.beam_search_steps(_batched(step), width=1, max_len=4)
     assert not hyp.finished
     assert hyp.tokens == (5, 5, 5, 5)
 
 
 def test_beam_rejects_bad_width():
     with pytest.raises(ValueError):
-        dec.beam_search_steps(lambda p: np.ones(4) / 4, width=0, max_len=2)
+        dec.beam_search_steps(lambda ps: np.ones((len(ps), 4)) / 4, width=0,
+                              max_len=2)
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +291,65 @@ def test_translate_dispatch_matches_the_searches(tiny_params):
         )
     with pytest.raises(ValueError):
         dec.translate(tiny_params, src, img, -1.0, width=3)
+
+
+# ---------------------------------------------------------------------------
+# batched steps against the one-prefix search
+
+
+def _one_prefix_search(row_fn, width, max_len, eos_id=m.EOS,
+                       forbidden=(m.PAD, m.BOS, m.MASK)):
+    """Beam search that asks for one prefix at a time, hypothesis by
+    hypothesis, with the same ranking and stopping rules."""
+    live, done = [Hypothesis((), 0.0)], []
+    for _ in range(max_len):
+        candidates = []
+        for hyp in live:
+            probs = row_fn((m.BOS,) + hyp.tokens)
+            logs = np.log(np.maximum(probs, dec.PROB_FLOOR))
+            candidates += [Hypothesis(hyp.tokens + (tok,),
+                                      hyp.logp + float(logs[tok]))
+                           for tok in range(len(probs)) if tok not in forbidden]
+        candidates.sort(key=lambda h: (-h.logp, h.tokens))
+        live = []
+        for cand in candidates[:width]:
+            if cand.tokens[-1] == eos_id:
+                done.append(Hypothesis(cand.tokens[:-1], cand.logp, True))
+            else:
+                live.append(cand)
+        if not live or (done and max(h.logp for h in done) >= live[0].logp):
+            break
+    pool = done if done else live
+    pool.sort(key=lambda h: (-h.logp, h.tokens))
+    return pool[0]
+
+
+def _one_prefix_rows(params, src, image, use_extras):
+    enc = m.encode(src, image, params, use_extras=use_extras)
+    return lambda prefix: m.decode_step(enc, [prefix], params,
+                                        use_extras=use_extras)[0]
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_batched_searches_equal_one_prefix_search(tiny_params, width):
+    m.randomize_extras(tiny_params, seed=9)
+    img = np.random.default_rng(10).standard_normal(
+        tiny_params.config.image_dim)
+    max_len = tiny_params.config.max_len
+
+    def key(h):
+        return (h.tokens, h.logp, h.finished)
+
+    for src in ([5, 6, 7], [9, 4, 12, 8, 5]):
+        text = _one_prefix_rows(tiny_params, src, None, False)
+        mm = _one_prefix_rows(tiny_params, src, img, True)
+        assert key(dec.beam_search(tiny_params, src, img, width=width)) == \
+            key(_one_prefix_search(mm, width, max_len))
+        for gamma in (0.0, 1.0, 1.5, 2.0, 3.0):
+            # the endpoints run one model alone
+            rows = {0.0: text, 1.0: mm}.get(
+                gamma, lambda p: dec.cfg_distribution(text(p), mm(p), gamma))
+            want = _one_prefix_search(rows, width, max_len)
+            got = dec.cfg_beam_search(tiny_params, tiny_params, src, img,
+                                      gamma, width=width)
+            assert key(got) == key(want), (src, gamma)

@@ -93,8 +93,8 @@ def test_fresh_extras_are_exact_passthrough(tiny_params):
     enc_mm = m.encode(src, None, tiny_params, use_extras=True)
     assert np.array_equal(enc_base.states.data, enc_mm.states.data)
     prefix = [m.BOS, 5]
-    p_base = m.decode_step(enc_base, prefix, tiny_params, use_extras=False)
-    p_mm = m.decode_step(enc_mm, prefix, tiny_params, use_extras=True)
+    p_base = m.decode_step(enc_base, [prefix], tiny_params, use_extras=False)
+    p_mm = m.decode_step(enc_mm, [prefix], tiny_params, use_extras=True)
     assert np.array_equal(p_base, p_mm)
 
 
@@ -114,7 +114,7 @@ def test_cross_attention_never_sees_visual_position(tiny_params):
     assert not enc.text_valid[0, 0]
     assert enc.self_valid[0, 0]
     sink = {}
-    m.decode_step(enc, [m.BOS, 5, 6], tiny_params, attn_sink=sink)
+    m.decode_step(enc, [[m.BOS, 5, 6]], tiny_params, attn_sink=sink)
     cross = [sink[k] for k in sink if ".cross" in k]
     assert cross
     for probs in cross:
@@ -126,7 +126,7 @@ def test_decoder_self_attention_is_causal(tiny_params):
     src, img = _example(tiny_params)
     sink = {}
     enc = m.encode(src, img, tiny_params)
-    m.decode_step(enc, [m.BOS, 5, 6, 7], tiny_params, attn_sink=sink)
+    m.decode_step(enc, [[m.BOS, 5, 6, 7]], tiny_params, attn_sink=sink)
     self_probs = [sink[k] for k in sink if ".self" in k]
     assert self_probs
     for probs in self_probs:
@@ -147,16 +147,55 @@ def test_encode_input_validation(tiny_params):
 
 def test_decode_step_requires_bos(tiny_params):
     enc = m.encode([5, 6], None, tiny_params)
-    with pytest.raises(ValueError):
-        m.decode_step(enc, [5, 6], tiny_params)
+    with pytest.raises(ValueError, match="BOS"):
+        m.decode_step(enc, [[5, 6]], tiny_params)
+
+
+def test_decode_step_rejects_bad_prefix_batches(tiny_params):
+    enc = m.encode([5, 6], None, tiny_params)
+    with pytest.raises(ValueError, match="at least one prefix"):
+        m.decode_step(enc, [], tiny_params)
+    with pytest.raises(ValueError, match="equal length"):
+        m.decode_step(enc.repeat(2), [[m.BOS, 5], [m.BOS]], tiny_params)
+    with pytest.raises(ValueError, match="BOS"):
+        m.decode_step(enc.repeat(2), [[m.BOS, 5], [6, 5]], tiny_params)
+    with pytest.raises(ValueError, match="encoder batch 1 != 2 prefixes"):
+        m.decode_step(enc, [[m.BOS, 5], [m.BOS, 6]], tiny_params)
+    with pytest.raises(ValueError, match="only batch-1 states repeat"):
+        enc.repeat(2).repeat(2)
 
 
 def test_decode_step_returns_distribution(tiny_params):
     enc = m.encode([5, 6], None, tiny_params)
-    probs = m.decode_step(enc, [m.BOS], tiny_params)
-    assert probs.shape == (tiny_params.config.vocab_size,)
+    probs = m.decode_step(enc, [[m.BOS]], tiny_params)
+    assert probs.shape == (1, tiny_params.config.vocab_size)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert np.all(probs >= 0.0)
+
+
+@pytest.mark.parametrize("use_extras", [True, False])
+def test_decode_step_rows_equal_one_prefix_calls(tiny_params, use_extras):
+    """Equal-length prefixes share a call without padding: every row, and
+    every attention row in the sink, is the one-prefix call's to the bit."""
+    m.randomize_extras(tiny_params, seed=11)
+    src, img = _example(tiny_params, image=use_extras)
+    enc = m.encode(src, img, tiny_params, use_extras=use_extras)
+    prefixes = [[m.BOS, 5, 6], [m.BOS, 9, 4], [m.BOS, 5, 6], [m.BOS, 2, 15]]
+    sink = {}
+    rows = m.decode_step(enc.repeat(4), prefixes, tiny_params,
+                         use_extras=use_extras, attn_sink=sink)
+    assert rows.shape == (4, tiny_params.config.vocab_size)
+    heads = tiny_params.config.n_heads
+    keys = len(src) + int(use_extras)
+    assert sink["dec0.self"].shape == (4, heads, 3, 3)
+    assert sink["dec0.cross"].shape == (4, heads, 3, keys)
+    for k, prefix in enumerate(prefixes):
+        one_sink = {}
+        one = m.decode_step(enc, [prefix], tiny_params, use_extras=use_extras,
+                            attn_sink=one_sink)
+        assert rows[k].tobytes() == one[0].tobytes()
+        for name, probs in one_sink.items():
+            assert sink[name][k].tobytes() == probs[0].tobytes(), name
 
 
 def test_project_image_checks_dimension(tiny_params):

@@ -140,6 +140,29 @@ def test_base_teacher_logprobs_are_input_invariant(tiny_params):
     assert a[0].shape == (len(ex.tgt) - 1, tiny_params.config.vocab_size)
 
 
+def test_base_teacher_logprobs_equal_one_example_forwards(tiny_params):
+    """Buckets of equal (source, target) lengths share a forward without
+    padding: every array is the one-example forward's to the bit, in input
+    order, whatever the bucket sizes."""
+    m.randomize_extras(tiny_params, seed=23)
+    shapes = [(3, 2), (4, 2), (3, 2), (2, 5), (1, 2), (3, 3), (3, 2), (4, 2),
+              (6, 1)]
+    rng = np.random.default_rng(24)
+    examples = [
+        _ex(tiny_params, rng.integers(4, 16, size=s), rng.integers(4, 16, size=t),
+            seed=k, mask_set=(0,))
+        for k, (s, t) in enumerate(shapes)
+    ]
+    got = obj.base_teacher_logprobs(tiny_params, examples)
+    assert len(got) == len(examples)
+    for ex, lp in zip(examples, got):
+        want = _manual_logprobs(tiny_params, ex.src, ex.tgt, None,
+                                use_extras=False)
+        assert lp.shape == want.shape
+        assert lp.tobytes() == want.tobytes()
+    assert obj.base_teacher_logprobs(tiny_params, []) == []
+
+
 def test_kl_matches_manual_full_vocab_sum(tiny_params):
     m.randomize_extras(tiny_params, seed=10)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=11)
