@@ -284,8 +284,7 @@ def cmd_eval(
 
     scorer = ev.make_scorer(params, eval_gamma, space)
     report = ev.evaluate_contrastive(scorer, instances)
-    report.bleu = ev.translation_bleu(params, translation, eval_gamma, width,
-                                      space)
+    bleu = ev.translation_bleu(params, translation, eval_gamma, width, space)
     # the no-CFG accuracy is the multimodal model's (the base's when text-only)
     plain_acc = (report.contrastive_accuracy if text_only or eval_gamma == 1.0
                  else ev.commute_accuracy(ev.make_scorer(params), instances))
@@ -300,7 +299,7 @@ def cmd_eval(
         text_only=text_only,
         contrastive_accuracy=report.contrastive_accuracy,
         contrastive_accuracy_no_cfg=plain_acc,
-        bleu=report.bleu,
+        bleu=bleu,
         sense_accuracy=sense_acc,
         n_ties=report.n_ties,
         mean_ppl_correct=report.mean_ppl_correct,
@@ -311,7 +310,7 @@ def cmd_eval(
                gamma=gamma, text_only=text_only)
     print(
         f"contrastive {report.contrastive_accuracy:.1f} "
-        f"(no CFG {plain_acc:.1f}), BLEU {report.bleu:.2f}, "
+        f"(no CFG {plain_acc:.1f}), BLEU {bleu:.2f}, "
         f"sense accuracy {sense_acc:.1f}, ties {report.n_ties}"
     )
 

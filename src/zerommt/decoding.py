@@ -134,6 +134,8 @@ def _model_step_fn(
 ) -> StepFn:
     """Next-token distributions of ``params`` for ``source``, encoded once
     and repeated once per batch size; both passes run tape-free."""
+    if use_extras and image is None:
+        raise ValueError(m.IMAGE_REQUIRED)
     with ad.no_grad():
         encoded = {1: m.encode(source, image, params, use_extras=use_extras)}
 

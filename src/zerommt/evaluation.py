@@ -6,7 +6,7 @@ under teacher forcing. Three scorers are provided: the frozen text-only
 base (image-blind), the multimodal model, and a guidance blend of the two.
 ``make_scorer`` picks one from the same (model, gamma) keys as
 ``decoding.translate``, and ``translation_bleu`` scores that dispatcher's
-translations.
+translations. The model scorers run ``model.teacher_forced_rows``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class InstanceRow:
 @dataclass
 class EvalReport:
     contrastive_accuracy: float
-    bleu: float
     mean_ppl_correct: float
     mean_ppl_wrong: float
     n_ties: int
@@ -75,13 +74,11 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # scorers
 
-# sequences per padded forward of a model scorer
-SCORE_BATCH = 64
-
 
 class _ModelScorer:
     """Teacher-forced softmax of one model, with the image and the extras
-    both used or both ignored."""
+    both used or both ignored; sequences of one shape share one unpadded
+    forward."""
 
     use_extras = True
 
@@ -90,19 +87,9 @@ class _ModelScorer:
 
     def distributions(self, srcs, images, tgts) -> list[np.ndarray]:
         """One (len(tgt) - 1, V) array of next-token distributions per
-        (source, image, target), from one padded, tape-free
-        ``model.teacher_forced_logits`` per ``SCORE_BATCH`` sequences."""
-        out = []
-        for k in range(0, len(tgts), SCORE_BATCH):
-            chunk = tgts[k : k + SCORE_BATCH]
-            imgs = images[k : k + SCORE_BATCH] if self.use_extras else None
-            with ad.no_grad():
-                logits = m.teacher_forced_logits(
-                    self.params, srcs[k : k + SCORE_BATCH], imgs, chunk,
-                    use_extras=self.use_extras)
-                probs = ad.softmax(logits, axis=-1).data
-            out += [probs[b, : len(t) - 1] for b, t in enumerate(chunk)]
-        return out
+        (source, image, target), from ``model.teacher_forced_rows``."""
+        return m.teacher_forced_rows(self.params, srcs, images, tgts,
+                                     self.use_extras, ad.softmax)
 
 
 class TextOnlyScorer(_ModelScorer):
@@ -111,14 +98,6 @@ class TextOnlyScorer(_ModelScorer):
     their image get the very same distributions."""
 
     use_extras = False
-
-    def distributions(self, srcs, images, tgts) -> list[np.ndarray]:
-        pairs = [(tuple(x), tuple(y)) for x, y in zip(srcs, tgts)]
-        unique = list(dict.fromkeys(pairs))
-        dists = super().distributions([x for x, _ in unique], None,
-                                      [y for _, y in unique])
-        scored = dict(zip(unique, dists))
-        return [scored[p] for p in pairs]
 
 
 class MultimodalScorer(_ModelScorer):
@@ -219,14 +198,11 @@ def contrastive_margin(rows: list[InstanceRow]) -> float:
 def evaluate_contrastive(
     scorer, instances: list[ContrastiveInstance]
 ) -> EvalReport:
-    """The contrastive report of ``scorer``; ``bleu`` is left NaN for the
-    caller to fill in."""
+    """The contrastive report of ``scorer``."""
     rows = commute_rows(scorer, instances)
     n_ties = sum(1 for r in rows if r.ppl_correct == r.ppl_wrong)
     return EvalReport(
         contrastive_accuracy=100.0 * sum(r.score for r in rows) / len(rows),
-        # math.nan is one object, so equal reports compare equal as dicts
-        bleu=math.nan,
         mean_ppl_correct=float(np.mean([r.ppl_correct for r in rows])),
         mean_ppl_wrong=float(np.mean([r.ppl_wrong for r in rows])),
         n_ties=n_ties,

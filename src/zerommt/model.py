@@ -23,6 +23,9 @@ from .autodiff import Tensor
 PAD, BOS, EOS, MASK = 0, 1, 2, 3
 SPECIAL_TOKENS = {"pad": PAD, "bos": BOS, "eos": EOS, "mask": MASK}
 
+# the one message for a sequence the extras would read without an image
+IMAGE_REQUIRED = "every sequence needs an image with the extras on"
+
 CHECKPOINT_MAGIC = b"ZMMT"
 CHECKPOINT_VERSION = 1
 
@@ -444,10 +447,36 @@ def teacher_forced_logits(params: ModelParams, srcs, images, tgts,
     stacked = None
     if use_extras:
         if images is None or any(i is None for i in images):
-            raise ValueError("every sequence needs an image with the extras on")
+            raise ValueError(IMAGE_REQUIRED)
         stacked = np.stack([np.asarray(i, dtype=np.float64) for i in images])
     enc = encode_batch(params, src_ids, src_valid, stacked, use_extras=use_extras)
     return decoder_logits(params, enc, tgt_in, tgt_valid, use_extras=use_extras)
+
+
+def teacher_forced_rows(params: ModelParams, srcs, images, tgts,
+                        use_extras: bool, normalize) -> list[np.ndarray]:
+    """``normalize`` (``ad.softmax`` or ``ad.log_softmax``) of the
+    teacher-forced logits, tape-free: one (len(tgt) - 1, V) array per
+    sequence, in input order. One ``teacher_forced_logits`` call per (source
+    length, target length) leaves no padding; with the extras off, each
+    distinct (source, target) is computed once and matches its forward alone
+    bit for bit."""
+    keys = [k if use_extras else (tuple(x), tuple(y))
+            for k, (x, y) in enumerate(zip(srcs, tgts))]
+    # (source length, target length) -> {key: index of its first sequence}
+    buckets: dict[tuple[int, int], dict] = {}
+    for k, key in enumerate(keys):
+        buckets.setdefault((len(srcs[k]), len(tgts[k])), {}).setdefault(key, k)
+    rows = {}
+    with ad.no_grad():
+        for firsts in buckets.values():
+            idx = list(firsts.values())
+            logits = teacher_forced_logits(
+                params, [srcs[k] for k in idx],
+                None if images is None else [images[k] for k in idx],
+                [tgts[k] for k in idx], use_extras=use_extras)
+            rows.update(zip(firsts, normalize(logits, axis=-1).data))
+    return [rows[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import BOS, EOS, MASK, ModelParams, pad_batch, teacher_forced_logits
+from .model import (BOS, EOS, MASK, ModelParams, pad_batch, teacher_forced_logits,
+                    teacher_forced_rows)
 
 LOG_FLOOR = 1e-12
 # tokens at least this fraction as probable under the frozen base as the
@@ -56,6 +57,8 @@ class BatchExample:
     accept: np.ndarray | None = None
 
     def validate(self) -> None:
+        if not self.src:
+            raise ValueError("empty source sequence")
         if len(self.tgt) < 2 or self.tgt[0] != BOS or self.tgt[-1] != EOS:
             raise ValueError("target must be BOS-led and EOS-terminated")
         if any(j < 0 or j >= len(self.src) for j in self.mask_set):
@@ -198,22 +201,12 @@ def base_teacher_logprobs(
     are constants that can be computed once per corpus and reused every
     epoch.
 
-    Examples with equal source and target lengths share one tape-free
-    forward. Equal shapes leave no padding, so every array is bit-identical
-    to a forward of its example alone.
+    One call to ``model.teacher_forced_rows``, the scorers' forward, so
+    every array is bit-identical to a forward of its example alone.
     """
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for k, ex in enumerate(examples):
-        buckets.setdefault((len(ex.src), len(ex.tgt)), []).append(k)
-    out: list[np.ndarray] = [None] * len(examples)
-    with ad.no_grad():
-        for idx in buckets.values():
-            lp, _, _ = _teacher_forced([examples[k] for k in idx],
-                                       frozen_params, masked=False,
-                                       multimodal=False)
-            for k, rows in zip(idx, lp.data):
-                out[k] = rows
-    return out
+    return teacher_forced_rows(
+        frozen_params, [ex.src for ex in examples], None,
+        [ex.tgt for ex in examples], False, ad.log_softmax)
 
 
 def _padded_base_logprobs(

@@ -23,6 +23,7 @@ import numpy as np
 
 from .evaluation import ContrastiveInstance
 from .model import BOS, EOS, SPECIAL_TOKENS, ModelParams, reject_unknown_keys
+from .objectives import BatchExample
 from . import decoding
 
 N_SPECIALS = len(SPECIAL_TOKENS)
@@ -441,14 +442,14 @@ def read_examples(path) -> list[Example]:
             try:
                 obj = json.loads(line)
                 img = obj.get("img")
-                out.append(
-                    Example(
-                        id=int(obj["id"]),
-                        src=[int(t) for t in obj["src"]],
-                        tgt=[int(t) for t in obj["tgt"]],
-                        image=None if img is None else np.asarray(img, dtype=np.float64),
-                    )
+                ex = Example(
+                    id=int(obj["id"]),
+                    src=[int(t) for t in obj["src"]],
+                    tgt=[int(t) for t in obj["tgt"]],
+                    image=None if img is None else np.asarray(img, dtype=np.float64),
                 )
+                BatchExample(ex.src, ex.tgt).validate()
+                out.append(ex)
             except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
                 raise ValueError(f"{path}: malformed line {lineno}: {e}") from e
     return out
@@ -477,16 +478,17 @@ def read_contrastive(path) -> list[ContrastiveInstance]:
                 continue
             try:
                 obj = json.loads(line)
-                out.append(
-                    ContrastiveInstance(
-                        id=int(obj["id"]),
-                        src=[int(t) for t in obj["src"]],
-                        img_a=np.asarray(obj["img_a"], dtype=np.float64),
-                        tgt_a=[int(t) for t in obj["tgt_a"]],
-                        img_b=np.asarray(obj["img_b"], dtype=np.float64),
-                        tgt_b=[int(t) for t in obj["tgt_b"]],
-                    )
+                inst = ContrastiveInstance(
+                    id=int(obj["id"]),
+                    src=[int(t) for t in obj["src"]],
+                    img_a=np.asarray(obj["img_a"], dtype=np.float64),
+                    tgt_a=[int(t) for t in obj["tgt_a"]],
+                    img_b=np.asarray(obj["img_b"], dtype=np.float64),
+                    tgt_b=[int(t) for t in obj["tgt_b"]],
                 )
+                for tgt in (inst.tgt_a, inst.tgt_b):
+                    BatchExample(inst.src, tgt).validate()
+                out.append(inst)
             except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
                 raise ValueError(f"{path}: malformed line {lineno}: {e}") from e
     return out

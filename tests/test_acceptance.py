@@ -587,32 +587,6 @@ def test_perplexity_matches_scalar_oracle(report):
 # determinism: same configuration and seed, byte-identical artifacts
 
 
-def _equal_or_both_nan(a, b) -> bool:
-    """``a == b`` through dicts and lists, with two NaNs counted equal
-    (plain ``==`` holds for a NaN only against the very same object)."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(
-            _equal_or_both_nan(a[k], b[k]) for k in a)
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(
-            _equal_or_both_nan(x, y) for x, y in zip(a, b))
-    if isinstance(a, float) and isinstance(b, float):
-        return a == b or (math.isnan(a) and math.isnan(b))
-    return a == b
-
-
-def test_equal_or_both_nan():
-    nan = {"bleu": float("nan"), "rows": [{"score": 1.0}]}
-    assert _equal_or_both_nan(nan, {"bleu": float("nan"),
-                                    "rows": [{"score": 1.0}]})
-    for other in ({"bleu": 0.0, "rows": [{"score": 1.0}]},
-                  {"bleu": float("nan"), "rows": [{"score": 2.0}]},
-                  {"bleu": float("nan"), "rows": []},
-                  {"bleu": float("nan")}):
-        assert not _equal_or_both_nan(nan, other)
-        assert not _equal_or_both_nan(other, nan)
-
-
 def test_determinism(pipeline, tmp_path, report):
     # corpus files
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -648,7 +622,7 @@ def test_determinism(pipeline, tmp_path, report):
     )
     eval_same = (
         eval_a.rows_csv() == eval_b.rows_csv()
-        and _equal_or_both_nan(eval_a.to_dict(), eval_b.to_dict())
+        and eval_a.to_dict() == eval_b.to_dict()
     )
 
     ok = corpus_same and csv_same and eval_same

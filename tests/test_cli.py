@@ -295,6 +295,27 @@ def test_eval_names_a_contrastive_instance_without_an_ambiguous_word(
     assert not (bad / "eval_gamma2").exists()
 
 
+def test_eval_rejects_a_contrastive_target_without_bos_by_file_and_line(
+        run_dir, tmp_path, capsys):
+    # teacher forcing would feed the target's tokens but its last and score
+    # the rest, so a target without BOS would be scored silently
+    config_path, out = run_dir
+    bad = tmp_path / "bad"
+    shutil.copytree(out / "corpus", bad / "corpus")
+    shutil.copytree(out / "train_full", bad / "train_full")
+    path = bad / "corpus" / "test_contrastive.jsonl"
+    instances = sc.read_contrastive(path)
+    instances[1].tgt_b = instances[1].tgt_b[1:]
+    sc.write_contrastive(path, instances)
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(config_path),
+                     "--out", str(bad), "--gamma", "2.0"]) == 1
+    err = capsys.readouterr().err
+    assert (f"{path}: malformed line 2: target must be BOS-led and "
+            "EOS-terminated") in err
+    assert not (bad / "eval_gamma2").exists()
+
+
 def test_sweep_gamma_writes_grid(run_dir):
     config_path, out = run_dir
     assert cli.main(["sweep", "--config", str(config_path), "--out", str(out),

@@ -265,6 +265,22 @@ def test_beam_search_emits_valid_translation(tiny_params):
     assert all(t not in (m.PAD, m.BOS, m.MASK) for t in hyp.tokens)
 
 
+def test_searches_with_the_extras_on_need_an_image(tiny_params):
+    # the adapters without the visual token are an input no objective or
+    # scorer accepts; at gamma = 0 the image is never read
+    m.randomize_extras(tiny_params, seed=9)
+    src = [5, 6, 7]
+    calls = [lambda: dec.beam_search(tiny_params, src),
+             lambda: dec.translate(tiny_params, src, None, 1.0),
+             lambda: dec.translate(tiny_params, src, None, 2.0)]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == m.IMAGE_REQUIRED
+    assert dec.translate(tiny_params, src, None, 0.0, width=2) == \
+        dec.beam_search(tiny_params, src, None, width=2, use_extras=False)
+
+
 def test_translate_dispatch_matches_the_searches(tiny_params):
     from zerommt import model as mm
 

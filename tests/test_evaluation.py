@@ -260,9 +260,13 @@ def test_multimodal_scorer_requires_images(tiny_params):
     batch = obj.Batch([obj.BatchExample(src=[5, 6], tgt=[m.BOS, 7, m.EOS],
                                         image=img),
                        obj.BatchExample(src=[5], tgt=[m.BOS, 7, m.EOS])])
+    mm = ev.MultimodalScorer(tiny_params)
+    cfg = ev.CfgScorer(ev.TextOnlyScorer(tiny_params), mm, 2.0)
+    srcs, tgts = [(5, 6), (5,)], [(m.BOS, 7, m.EOS)] * 2
     calls = [
-        lambda: ev.MultimodalScorer(tiny_params).distributions(
-            [(5, 6), (5,)], [img, None], [(m.BOS, 7, m.EOS)] * 2),
+        lambda: mm.distributions(srcs, [img, None], tgts),
+        lambda: mm.distributions(srcs, None, tgts),
+        lambda: cfg.distributions(srcs, None, tgts),
         lambda: obj.vmlm_loss(batch, tiny_params),
         lambda: obj.mmt_loss(batch, tiny_params),
         lambda: obj.kl_penalty(batch, tiny_params),
@@ -291,7 +295,7 @@ def _reference_distributions(params, src, image, tgt, use_extras):
 
 def _mixed_length_set(config, n, seed):
     """``n`` (src, image, tgt) triples with sources of 1-7 and targets of
-    2-9 tokens, so every chunk pads both sides."""
+    2-9 tokens, so some shapes repeat and others stand alone."""
     rng = np.random.default_rng(seed)
     words = np.arange(4, config.vocab_size)
     srcs, images, tgts = [], [], []
@@ -311,7 +315,7 @@ def _max_relative_error(got, want):
 
 def test_batched_scorers_match_batch_one_reference(tiny_params):
     m.randomize_extras(tiny_params, seed=17)
-    n = 2 * ev.SCORE_BATCH + 5
+    n = 133
     srcs, images, tgts = _mixed_length_set(tiny_params.config, n, seed=18)
     text_ref = [_reference_distributions(tiny_params, x, i, y, False)
                 for x, i, y in zip(srcs, images, tgts)]
@@ -319,7 +323,12 @@ def test_batched_scorers_match_batch_one_reference(tiny_params):
               for x, i, y in zip(srcs, images, tgts)]
     text = ev.TextOnlyScorer(tiny_params)
     mm = ev.MultimodalScorer(tiny_params)
-    checks = [(text, text_ref), (mm, mm_ref)]
+    # the text side batches only sequences of one shape, so it is exact
+    got = text.distributions(srcs, images, tgts)
+    assert len(got) == n
+    for g, w in zip(got, text_ref):
+        assert g.tobytes() == w.tobytes()
+    checks = [(mm, mm_ref)]
     for space in ("log", "prob_clip"):
         blend_ref = [
             np.stack([dec.cfg_distribution(pt[j], pm[j], 2.5, space)
@@ -339,8 +348,7 @@ def test_text_only_scorer_scores_each_pair_once(tiny_params, monkeypatch):
     # the same (src, tgt) under two images goes through one forward row, so
     # both get the same floats and the text-only base sits at exactly 50%
     m.randomize_extras(tiny_params, seed=19)
-    srcs, images, tgts = _mixed_length_set(tiny_params.config,
-                                           ev.SCORE_BATCH, seed=20)
+    srcs, images, tgts = _mixed_length_set(tiny_params.config, 64, seed=20)
     encoded = []
     encode_batch = m.encode_batch
 
@@ -352,7 +360,7 @@ def test_text_only_scorer_scores_each_pair_once(tiny_params, monkeypatch):
     flipped = [-i for i in images]
     got = ev.TextOnlyScorer(tiny_params).distributions(
         srcs + srcs[::-1], images + flipped[::-1], tgts + tgts[::-1])
-    assert encoded == [ev.SCORE_BATCH]
+    assert sum(encoded) == len(set(zip(srcs, tgts)))
     for a, b in zip(got[: len(srcs)], got[len(srcs):][::-1]):
         assert a is b
 

@@ -310,6 +310,32 @@ def test_malformed_jsonl_reports_line_number(tmp_path):
         sc.read_contrastive(path)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("src", [], "empty source sequence"),
+    ("tgt", [5, 2], "target must be BOS-led and EOS-terminated"),
+    ("tgt", [1, 5], "target must be BOS-led and EOS-terminated"),
+    ("tgt", [1], "target must be BOS-led and EOS-terminated"),
+])
+def test_jsonl_readers_reject_malformed_sequences(tmp_path, field, value,
+                                                  message):
+    # both readers name the file and line, with BatchExample.validate's
+    # message, for the source and for every target
+    path = tmp_path / "bad.jsonl"
+    example = {"id": 0, "src": [5], "tgt": [1, 5, 2]}
+    instance = {"id": 0, "src": [5], "img_a": [0.0, 1.0], "tgt_a": [1, 5, 2],
+                "img_b": [1.0, 0.0], "tgt_b": [1, 6, 2]}
+    cases = [(sc.read_examples, example, [field]),
+             (sc.read_contrastive, instance,
+              ["src"] if field == "src" else ["tgt_a", "tgt_b"])]
+    for read, good, keys in cases:
+        for key in keys:
+            bad = dict(good, **{key: value})
+            path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == f"{path}: malformed line 2: {message}"
+
+
 def test_world_dict_roundtrip(world):
     back = sc.world_from_dict(json.loads(json.dumps(sc.world_to_dict(world))))
     assert back.spec == world.spec
