@@ -169,24 +169,28 @@ def scale(a, s: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product.
+    """Matrix product over the last two axes; the leading (batch) axes
+    broadcast as in numpy.
 
-    Supports ``a`` with any number of leading batch axes against a 2-D
-    weight ``b``, and fully batched products where both operands share the
-    same leading axes (as in attention score/value products).
+    A 2-D weight ``b`` serves any number of leading axes of ``a``. In
+    attention, queries for n hypotheses read one batch-1 encoding the same
+    way. Backward sums each gradient back to its operand's shape.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    if b.ndim != 2 and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: batch dims differ, {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
+    try:
+        data = np.matmul(a.data, b.data)
+    except ValueError as e:
+        raise ShapeError(
+            f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}") from e
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+            _accumulate(a, _unbroadcast(
+                np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if not b.requires_grad:
             return
         if b.ndim == 2:
@@ -194,7 +198,7 @@ def matmul(a, b) -> Tensor:
                 a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1])
             )
         else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         _accumulate(b, gb)
 
     return _make(data, (a, b), bwd)

@@ -38,23 +38,39 @@ class RunConfig:
     eval_beam_width: int = 4
 
     def validate(self) -> None:
+        for name in ("world", "sizes", "model", "pretrain", "train"):
+            try:
+                getattr(self, name).validate()
+            except ValueError as e:
+                raise ValueError(f"config.{name}: {e}") from e
         if self.targets not in ("pseudo", "gold"):
             raise ValueError(f"targets must be pseudo or gold, got {self.targets!r}")
         if self.cfg_space not in ("log", "prob_clip"):
             raise ValueError(f"unknown cfg_space {self.cfg_space!r}")
+        if self.eval_beam_width < 1:
+            raise ValueError("config.eval_beam_width must be positive, got "
+                             f"{self.eval_beam_width}")
 
 
-def _fill_dataclass(cls, obj: dict, path: str):
+def _fill_dataclass(cls, obj, path: str):
+    """``cls`` from the JSON object ``obj`` at ``path``; a missing key keeps
+    its default, and a value must have its default's JSON type (an int may
+    stand for a float)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must be an object, got {json.dumps(obj)}")
     m.reject_unknown_keys(cls, obj, f"unknown config keys at {path}:")
+    defaults = cls()
     kwargs = {}
     for key, value in obj.items():
-        if isinstance(value, dict):
-            sub = _DATACLASS_FIELDS.get((cls, key))
-            if sub is None:
-                raise ValueError(f"unexpected object at {path}.{key}")
+        sub = _DATACLASS_FIELDS.get((cls, key))
+        if sub is not None:
             kwargs[key] = _fill_dataclass(sub, value, f"{path}.{key}")
-        else:
-            kwargs[key] = value
+            continue
+        want = type(getattr(defaults, key))
+        if type(value) is not want and (want, type(value)) != (float, int):
+            raise ValueError(f"{path}.{key} must be {want.__name__}, got "
+                             f"{json.dumps(value)}")
+        kwargs[key] = value
     return cls(**kwargs)
 
 
@@ -117,12 +133,24 @@ def _load_world(out: Path) -> sc.World:
         raise ValueError(f"{path}: {e}") from e
 
 
-def _load_split_examples(out: Path, name: str) -> list[sc.Example]:
-    return sc.read_examples(_corpus_dir(out) / f"{name}.jsonl")
+def _read_fitting(read, path: Path, model_config: m.ModelConfig) -> list:
+    """The records ``read`` finds in ``path``, each checked to fit a model of
+    ``model_config`` before any stage works on them."""
+    records = read(path)
+    sc.check_fit(path, records, model_config)
+    return records
 
 
-def _load_split_contrastive(out: Path, name: str) -> list[ev.ContrastiveInstance]:
-    return sc.read_contrastive(_corpus_dir(out) / f"{name}.jsonl")
+def _load_split_examples(out: Path, name: str,
+                         model_config: m.ModelConfig) -> list[sc.Example]:
+    return _read_fitting(sc.read_examples, _corpus_dir(out) / f"{name}.jsonl",
+                         model_config)
+
+
+def _load_split_contrastive(out: Path, name: str, model_config: m.ModelConfig
+                            ) -> list[ev.ContrastiveInstance]:
+    return _read_fitting(sc.read_contrastive,
+                         _corpus_dir(out) / f"{name}.jsonl", model_config)
 
 
 def _load_base(out: Path) -> m.ModelParams:
@@ -131,7 +159,8 @@ def _load_base(out: Path) -> m.ModelParams:
     return params
 
 
-def _train_data(out: Path, config: RunConfig) -> tr.TrainData:
+def _train_data(out: Path, config: RunConfig,
+                model_config: m.ModelConfig) -> tr.TrainData:
     pseudo_path = _corpus_dir(out) / "mmt_train_pseudo.jsonl"
     if config.targets == "pseudo":
         if not pseudo_path.exists():
@@ -139,13 +168,16 @@ def _train_data(out: Path, config: RunConfig) -> tr.TrainData:
                 f"{pseudo_path} missing: run the translate stage first "
                 "(or set targets=gold)"
             )
-        train_examples = sc.read_examples(pseudo_path)
+        train_examples = _load_split_examples(out, "mmt_train_pseudo",
+                                              model_config)
     else:
-        train_examples = _load_split_examples(out, "mmt_train")
+        train_examples = _load_split_examples(out, "mmt_train", model_config)
     return tr.TrainData(
         mmt_train=train_examples,
-        val_contrastive=_load_split_contrastive(out, "val_contrastive"),
-        val_translation=_load_split_examples(out, "val_translation"),
+        val_contrastive=_load_split_contrastive(out, "val_contrastive",
+                                                model_config),
+        val_translation=_load_split_examples(out, "val_translation",
+                                             model_config),
     )
 
 
@@ -177,7 +209,7 @@ def cmd_gen(config: RunConfig, out: Path) -> None:
 
 
 def cmd_pretrain(config: RunConfig, out: Path) -> None:
-    corpus = _load_split_examples(out, "pretrain_parallel")
+    corpus = _load_split_examples(out, "pretrain_parallel", config.model)
     params = tr.pretrain_base(corpus, config.model, config.pretrain)
     m.save_checkpoint(out / "base.ckpt", params, meta=_meta(config, stage="pretrain"))
     print(f"pretrained base saved to {out / 'base.ckpt'}")
@@ -186,7 +218,7 @@ def cmd_pretrain(config: RunConfig, out: Path) -> None:
 def cmd_translate(config: RunConfig, out: Path) -> None:
     base = _load_base(out)
     world = _load_world(out)
-    gold = _load_split_examples(out, "mmt_train")
+    gold = _load_split_examples(out, "mmt_train", base.config)
     pseudo, report = sc.pseudo_translate(
         base, gold, world, width=config.eval_beam_width
     )
@@ -208,7 +240,7 @@ def cmd_translate(config: RunConfig, out: Path) -> None:
 
 def cmd_train(config: RunConfig, out: Path, mode: str) -> None:
     base = _load_base(out)
-    data = _train_data(out, config)
+    data = _train_data(out, config, base.config)
     train_config = dataclasses.replace(config.train, mode=mode)
     result = tr.train(train_config, data, base)
     run_dir = out / f"train_{mode}"
@@ -270,15 +302,15 @@ def cmd_eval(
     gamma: float,
     text_only: bool,
 ) -> None:
-    world = _load_world(out)
-    instances = _load_split_contrastive(out, "test_contrastive")
-    words = _ambiguous_words(world, instances,
-                             _corpus_dir(out) / "test_contrastive.jsonl")
-    translation = _load_split_examples(out, "test_translation")
-    width, space = config.eval_beam_width, config.cfg_space
     # the text-only report evaluates the frozen base at gamma = 0 and keeps
     # the --gamma it was given
     params = _load_base(out) if text_only else _load_mm(out, ckpt)
+    world = _load_world(out)
+    instances = _load_split_contrastive(out, "test_contrastive", params.config)
+    words = _ambiguous_words(world, instances,
+                             _corpus_dir(out) / "test_contrastive.jsonl")
+    translation = _load_split_examples(out, "test_translation", params.config)
+    width, space = config.eval_beam_width, config.cfg_space
     eval_gamma = 0.0 if text_only else gamma
     tag = "base" if text_only else f"gamma{gamma:g}"
 
@@ -324,28 +356,29 @@ def cmd_sweep(
 ) -> None:
     if not values:
         raise ValueError("sweep needs at least one value")
-    instances = _load_split_contrastive(out, "test_contrastive")
-    translation = _load_split_examples(out, "test_translation")
+    if param not in ("gamma", "lambda"):
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    # the gamma sweep blends the adapted model; the lambda sweep adapts the base
+    params = _load_mm(out, ckpt) if param == "gamma" else _load_base(out)
+    instances = _load_split_contrastive(out, "test_contrastive", params.config)
+    translation = _load_split_examples(out, "test_translation", params.config)
     width, space = config.eval_beam_width, config.cfg_space
     rows = []
 
     if param == "gamma":
-        mm = _load_mm(out, ckpt)
         for gamma in values:
-            acc = ev.commute_accuracy(ev.make_scorer(mm, gamma, space), instances)
+            acc = ev.commute_accuracy(ev.make_scorer(params, gamma, space),
+                                      instances)
             rows.append((gamma, acc, ev.translation_bleu(
-                mm, translation, gamma, width, space)))
-    elif param == "lambda":
-        base = _load_base(out)
-        data = _train_data(out, config)
+                params, translation, gamma, width, space)))
+    else:
+        data = _train_data(out, config, params.config)
         for lam in values:
             train_config = dataclasses.replace(config.train, lam=lam, mode="full")
-            mm = tr.train(train_config, data, base).params
+            mm = tr.train(train_config, data, params).params
             acc = ev.commute_accuracy(ev.make_scorer(mm), instances)
             rows.append((lam, acc, ev.translation_bleu(
                 mm, translation, 1.0, width, space)))
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}")
 
     run_dir = out / f"sweep_{param}"
     run_dir.mkdir(parents=True, exist_ok=True)

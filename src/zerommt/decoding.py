@@ -14,8 +14,9 @@ single model.
 
 Beam search asks its step function once per step for every live
 hypothesis. The live hypotheses always have equal length, so a model
-steps them in one ``model.decode_step`` call without padding, and every
-distribution is bit-identical to the one of its prefix alone.
+steps them in one ``model.decode_step`` call without padding, against the
+source's one batch-1 encoding, which cross-attention broadcasts over them;
+every distribution is bit-identical to the one of its prefix alone.
 """
 
 from __future__ import annotations
@@ -132,20 +133,16 @@ def _model_step_fn(
     image: np.ndarray | None,
     use_extras: bool,
 ) -> StepFn:
-    """Next-token distributions of ``params`` for ``source``, encoded once
-    and repeated once per batch size; both passes run tape-free."""
+    """Next-token distributions of ``params`` for ``source``: one batch-1
+    encoding that every step's prefixes read; both passes run tape-free."""
     if use_extras and image is None:
         raise ValueError(m.IMAGE_REQUIRED)
     with ad.no_grad():
-        encoded = {1: m.encode(source, image, params, use_extras=use_extras)}
+        enc = m.encode(source, image, params, use_extras=use_extras)
 
     def step(prefixes: list[tuple[int, ...]]) -> np.ndarray:
-        n = len(prefixes)
         with ad.no_grad():
-            if n not in encoded:
-                encoded[n] = encoded[1].repeat(n)
-            return m.decode_step(encoded[n], prefixes, params,
-                                 use_extras=use_extras)
+            return m.decode_step(enc, prefixes, params, use_extras=use_extras)
 
     return step
 

@@ -111,30 +111,13 @@ class ModelParams:
 
 @dataclass
 class EncoderStates:
-    """Encoder output plus the masks decoders need.
-
-    ``text_valid`` marks real (non-pad, non-visual) text positions and is
-    the only thing decoder cross-attention may look at. ``self_valid``
-    additionally includes the visual position.
-    """
+    """Encoder output (B, S, d_model) and the (B, S) mask of what decoder
+    cross-attention may read: the real text positions, never the visual
+    one or padding. A batch-1 encoding serves any number of decoder rows,
+    since cross-attention broadcasts it over them."""
 
     states: Tensor
     text_valid: np.ndarray
-    self_valid: np.ndarray
-    has_image: bool
-
-    def repeat(self, n: int) -> "EncoderStates":
-        """These batch-1 states n times along the batch axis, for decoding
-        n prefixes against one source in one call."""
-        if self.states.shape[0] != 1:
-            raise ValueError(
-                f"only batch-1 states repeat, got batch {self.states.shape[0]}")
-        return EncoderStates(
-            states=ad.concat([self.states] * n, axis=0),
-            text_valid=np.repeat(self.text_valid, n, axis=0),
-            self_valid=np.repeat(self.self_valid, n, axis=0),
-            has_image=self.has_image,
-        )
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -287,14 +270,14 @@ def _multi_head_attention(
     cfg = params.config
     h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
     bq, sq = x_q.shape[0], x_q.shape[1]
-    sk = x_kv.shape[1]
 
-    def split_heads(t: Tensor, s: int) -> Tensor:
-        return ad.transpose(ad.reshape(t, (bq, s, h, dh)), (0, 2, 1, 3))
+    def split_heads(t: Tensor) -> Tensor:
+        # each operand keeps its own batch: a batch-1 x_kv broadcasts over x_q
+        return ad.transpose(ad.reshape(t, t.shape[:2] + (h, dh)), (0, 2, 1, 3))
 
-    q = split_heads(ad.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), sq)
-    k = split_heads(ad.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), sk)
-    v = split_heads(ad.linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), sk)
+    q = split_heads(ad.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
+    k = split_heads(ad.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
+    v = split_heads(ad.linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
 
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     mask = _additive_mask(key_valid)
@@ -328,21 +311,16 @@ def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return ad.layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
 
-def project_image(image: np.ndarray, params: ModelParams) -> Tensor:
-    """ReLU(W i + b): one image vector to one d_model embedding."""
-    image = np.asarray(image, dtype=np.float64)
+def project_image(images: np.ndarray, params: ModelParams) -> Tensor:
+    """ReLU(W i + b): (B, image_dim) image vectors to (B, d_model)."""
+    images = np.asarray(images, dtype=np.float64)
     cfg = params.config
-    if image.shape[-1] != cfg.image_dim:
+    if images.shape[-1] != cfg.image_dim:
         raise ValueError(
-            f"image vector length {image.shape[-1]} != image_dim {cfg.image_dim}"
+            f"image vector length {images.shape[-1]} != image_dim {cfg.image_dim}"
         )
-    out = ad.relu(
-        ad.linear(Tensor(np.atleast_2d(image)), params.tensors["proj.w"],
-                  params.tensors["proj.b"])
-    )
-    if image.ndim == 1:
-        out = ad.reshape(out, (cfg.d_model,))
-    return out
+    return ad.relu(ad.linear(Tensor(images), params.tensors["proj.w"],
+                             params.tensors["proj.b"]))
 
 
 def encode_batch(
@@ -387,12 +365,7 @@ def encode_batch(
             h = _adapter(params, f"enc{l}.ffn_adapter", h)
         x = ad.add(x, h)
     x = _ln(params, "enc_ln", x)
-    return EncoderStates(
-        states=x,
-        text_valid=text_valid,
-        self_valid=self_valid,
-        has_image=images is not None,
-    )
+    return EncoderStates(states=x, text_valid=text_valid)
 
 
 def decoder_logits(
@@ -510,9 +483,9 @@ def decode_step(
     """Next-token probabilities (n, V), one row per prefix, for n BOS-led
     prefixes of equal length in one ``decoder_logits`` call.
 
-    ``enc`` holds the source n times (see ``EncoderStates.repeat``). Equal
-    lengths leave no padding, so each row is bit-identical to a call with
-    its prefix alone.
+    ``enc`` is the source's one batch-1 encoding (``encode``), which
+    cross-attention broadcasts over the n prefixes. Equal lengths leave no
+    padding, so each row is bit-identical to a call with its prefix alone.
     """
     if len(prefixes) == 0:
         raise ValueError("decode_step needs at least one prefix")
@@ -525,9 +498,9 @@ def decode_step(
             f"prefix length {len(prefixes[0])} exceeds max_len "
             f"{params.config.max_len}"
         )
-    if enc.states.shape[0] != len(prefixes):
-        raise ValueError(f"encoder batch {enc.states.shape[0]} != "
-                         f"{len(prefixes)} prefixes")
+    if enc.states.shape[0] != 1:
+        raise ValueError(f"decode_step reads one source: encoder batch "
+                         f"{enc.states.shape[0]} != 1")
     ids = np.asarray(prefixes, dtype=np.int64)
     valid = np.ones_like(ids, dtype=bool)
     logits = decoder_logits(
@@ -538,9 +511,9 @@ def decode_step(
 
 def apply_source_mask(
     x: list[int], mask_rate: float, rng: np.random.Generator
-) -> tuple[list[int], tuple[int, ...]]:
-    """Replace round(mask_rate * n) positions (min 1 for positive rates)
-    with MASK, uniformly without replacement."""
+) -> tuple[int, ...]:
+    """The sorted positions of ``x`` to mask: round(mask_rate * n) of them
+    (min 1 for positive rates), uniformly without replacement."""
     if not 0.0 <= mask_rate <= 1.0:
         raise ValueError(f"mask_rate {mask_rate} outside [0, 1]")
     n = len(x)
@@ -548,13 +521,9 @@ def apply_source_mask(
     if mask_rate > 0.0 and count == 0:
         count = 1
     if count == 0:
-        return list(x), ()
+        return ()
     picks = rng.choice(n, size=count, replace=False)
-    chosen = tuple(sorted(int(j) for j in picks))
-    masked = list(x)
-    for j in chosen:
-        masked[j] = MASK
-    return masked, chosen
+    return tuple(sorted(int(j) for j in picks))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .evaluation import ContrastiveInstance
-from .model import BOS, EOS, SPECIAL_TOKENS, ModelParams, reject_unknown_keys
+from .model import (BOS, EOS, SPECIAL_TOKENS, ModelConfig, ModelParams,
+                    reject_unknown_keys)
 from .objectives import BatchExample
 from . import decoding
 
@@ -453,6 +454,33 @@ def read_examples(path) -> list[Example]:
             except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
                 raise ValueError(f"{path}: malformed line {lineno}: {e}") from e
     return out
+
+
+def check_fit(path, records, config: ModelConfig) -> None:
+    """Raise ValueError naming ``path`` and the record's id if an example or
+    contrastive instance read from ``path`` does not fit a model of
+    ``config``: a token id outside [0, vocab_size), a source longer than
+    max_len, a target whose tokens but its last (the teacher-forced input)
+    outnumber max_len, or an image that is not a vector of image_dim."""
+    for rec in records:
+        if isinstance(rec, ContrastiveInstance):
+            tgts = {"tgt_a": rec.tgt_a, "tgt_b": rec.tgt_b}
+            images = {"img_a": rec.img_a, "img_b": rec.img_b}
+        else:
+            tgts, images = {"tgt": rec.tgt}, {"img": rec.image}
+        where = f"{path}: record id {rec.id}"
+        for name, seq in {"src": rec.src, **tgts}.items():
+            bad = [t for t in seq if not 0 <= t < config.vocab_size]
+            if bad:
+                raise ValueError(f"{where}: {name} token id {bad[0]} outside "
+                                 f"the vocabulary [0, {config.vocab_size})")
+            if len(seq) - (name != "src") > config.max_len:
+                raise ValueError(f"{where}: {name} of {len(seq)} tokens is "
+                                 f"too long for max_len {config.max_len}")
+        for name, image in images.items():
+            if image is not None and image.shape != (config.image_dim,):
+                raise ValueError(f"{where}: {name} shape {image.shape} != "
+                                 f"({config.image_dim},)")
 
 
 def write_contrastive(path, instances: list[ContrastiveInstance]) -> None:

@@ -263,7 +263,7 @@ def train(
         batch_list = []
         for k in idxs:
             ex = batch_examples[k]
-            _, mask_set = m.apply_source_mask(ex.src, config.mask_rate, rng)
+            mask_set = m.apply_source_mask(ex.src, config.mask_rate, rng)
             batch_list.append(
                 BatchExample(src=ex.src, tgt=ex.tgt, image=ex.image,
                              mask_set=mask_set, accept=ex.accept)

@@ -36,6 +36,8 @@ def test_matmul_forward_hand():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match="batch dims do not broadcast"):
+        ad.matmul(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones((3, 3, 5, 2))))
 
 
 def test_softmax_forward_hand():
@@ -193,9 +195,16 @@ def test_grad_check_matmul_both_sides():
 
 
 def test_grad_check_batched_matmul():
-    b = Tensor(np.random.default_rng(13).standard_normal((2, 3, 4, 5)))
-    a0 = np.random.default_rng(14).standard_normal((2, 3, 2, 4))
-    assert ad.grad_check(lambda t: ad.matmul(t, b), a0) < GRAD_TOL
+    """Both operands, where leading axes are shared or broadcast."""
+    for a_shape, b_shape in [
+        ((2, 3, 2, 4), (2, 3, 4, 5)),
+        ((3, 2, 2, 4), (1, 2, 4, 5)),  # n queries against one encoding
+        ((1, 2, 2, 4), (3, 2, 4, 5)),
+    ]:
+        a0 = np.random.default_rng(14).standard_normal(a_shape)
+        b0 = np.random.default_rng(13).standard_normal(b_shape)
+        assert ad.grad_check(lambda t: ad.matmul(t, Tensor(b0)), a0) < GRAD_TOL
+        assert ad.grad_check(lambda t: ad.matmul(Tensor(a0), t), b0) < GRAD_TOL
 
 
 def test_grad_check_layer_norm_all_inputs():

@@ -316,6 +316,70 @@ def test_eval_rejects_a_contrastive_target_without_bos_by_file_and_line(
     assert not (bad / "eval_gamma2").exists()
 
 
+# (stage, split, edit of its second record, message, what the stage writes)
+MISFITS = {
+    "eval_src_id": ("eval", "test_contrastive",
+                    lambda r: r["src"].__setitem__(0, 40),
+                    "src token id 40 outside the vocabulary [0, 32)",
+                    "eval_gamma2/eval_report.json"),
+    "eval_tgt_id": ("eval", "test_contrastive",
+                    lambda r: r["tgt_b"].__setitem__(1, 40),
+                    "tgt_b token id 40 outside the vocabulary [0, 32)",
+                    "eval_gamma2/eval_report.json"),
+    "eval_image": ("eval", "test_contrastive",
+                   lambda r: r.update(img_a=r["img_a"][:3]),
+                   "img_a shape (3,) != (4,)", "eval_gamma2/eval_report.json"),
+    "eval_long_src": ("eval", "test_contrastive",
+                      lambda r: r.update(src=(r["src"] * 15)[:15]),
+                      "src of 15 tokens is too long for max_len 12",
+                      "eval_gamma2/eval_report.json"),
+    "pretrain_src_id": ("pretrain", "pretrain_parallel",
+                        lambda r: r["src"].__setitem__(0, 40),
+                        "src token id 40 outside the vocabulary [0, 32)",
+                        "base.ckpt"),
+    "translate_image": ("translate", "mmt_train",
+                        lambda r: r.update(img=r["img"][:3]),
+                        "img shape (3,) != (4,)",
+                        "corpus/mmt_train_pseudo.jsonl"),
+    "train_long_tgt": ("train", "val_translation",
+                       lambda r: r.update(tgt=[m.BOS] + [5] * 13 + [m.EOS]),
+                       "tgt of 15 tokens is too long for max_len 12",
+                       "train_full/best.ckpt"),
+    "sweep_tgt_id": ("sweep", "test_translation",
+                     lambda r: r["tgt"].__setitem__(1, 40),
+                     "tgt token id 40 outside the vocabulary [0, 32)",
+                     "sweep_gamma/sweep.csv"),
+}
+STAGE_ARGS = {"eval": ["--gamma", "2.0"], "train": ["--mode", "full"],
+              "sweep": ["--param", "gamma", "--values", "2.0"]}
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
+def test_records_that_do_not_fit_the_model_fail_by_file_and_id(
+        run_dir, tmp_path, capsys, case):
+    # unchecked, these failed inside the forward with a message that named
+    # neither the file nor the record
+    stage, split, edit, message, output = MISFITS[case]
+    config_path, out = run_dir
+    bad = tmp_path / "bad"
+    shutil.copytree(out, bad)
+    path = bad / "corpus" / f"{split}.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(records[1])
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def written():
+        return (bad / output).read_bytes() if (bad / output).exists() else None
+
+    before = written()
+    capsys.readouterr()
+    assert cli.main([stage, "--config", str(config_path), "--out", str(bad),
+                     *STAGE_ARGS.get(stage, [])]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: record id {records[1]['id']}: {message}" in err
+    assert written() == before
+
+
 def test_sweep_gamma_writes_grid(run_dir):
     config_path, out = run_dir
     assert cli.main(["sweep", "--config", str(config_path), "--out", str(out),
@@ -336,6 +400,28 @@ def test_unknown_config_key_is_rejected(tmp_path):
     bad.write_text(json.dumps({"worlds": {}}))
     assert cli.main(["gen", "--config", str(bad),
                      "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"world": 5}, "config.world must be an object, got 5"),
+    ({"sizes": {"mmt_train": "8"}}, 'config.sizes.mmt_train must be int, got "8"'),
+    ({"train": {"lr": "fast"}}, 'config.train.lr must be float, got "fast"'),
+    ({"train": {"lr": {"x": 1}}}, 'config.train.lr must be float, got {"x": 1}'),
+    ({"eval_beam_width": 0}, "config.eval_beam_width must be positive, got 0"),
+    ({"pretrain": {"max_steps": 0}}, "config.pretrain: batch_size and max_steps"),
+])
+def test_mistyped_config_values_fail_at_load_by_key(tmp_path, capsys, raw,
+                                                    message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["gen", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "corpus").exists()
+    # an int stands for a float
+    bad.write_text(json.dumps({"train": {"lr": 1}}))
+    assert cli.load_config(str(bad), None).train.lr == 1
 
 
 def test_pretrain_rejects_invalid_config(run_dir, tmp_path):

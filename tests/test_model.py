@@ -18,6 +18,15 @@ def _example(params, src=(5, 6, 7), image=True):
     return list(src), img
 
 
+def _encode_with_sink(params, src, img):
+    """``encode``'s batch-1 forward, with the encoder's attention kept."""
+    sink = {}
+    ids, valid = m.pad_batch([src])
+    enc = m.encode_batch(params, ids, valid, None if img is None else img[None],
+                         attn_sink=sink)
+    return enc, sink
+
+
 # ---------------------------------------------------------------------------
 # configuration and parameter store
 
@@ -101,18 +110,27 @@ def test_fresh_extras_are_exact_passthrough(tiny_params):
 def test_visual_token_changes_encoder_output(tiny_params):
     m.randomize_extras(tiny_params, seed=1)
     src, img = _example(tiny_params)
-    with_img = m.encode(src, img, tiny_params)
-    without = m.encode(src, None, tiny_params)
-    assert with_img.states.shape[1] == without.states.shape[1] + 1
-    assert with_img.has_image and not without.has_image
+    with_img, with_sink = _encode_with_sink(tiny_params, src, img)
+    without, without_sink = _encode_with_sink(tiny_params, src, None)
+    assert with_img.states.shape == (1, len(src) + 1, tiny_params.config.d_model)
+    assert without.states.shape == (1, len(src), tiny_params.config.d_model)
+    # every position attends to the visual token (column 0)
+    assert sorted(with_sink) == [f"enc{l}.attn" for l in
+                                 range(tiny_params.config.n_layers_enc)]
+    for name, probs in with_sink.items():
+        assert probs.shape[-1] == len(src) + 1, name
+        assert np.all(probs[..., 0] > 0.0), name
+        assert without_sink[name].shape[-1] == len(src), name
 
 
 def test_cross_attention_never_sees_visual_position(tiny_params):
     m.randomize_extras(tiny_params, seed=2)
     src, img = _example(tiny_params)
-    enc = m.encode(src, img, tiny_params)
+    enc, enc_sink = _encode_with_sink(tiny_params, src, img)
+    assert enc.states.shape[1] == len(src) + 1
     assert not enc.text_valid[0, 0]
-    assert enc.self_valid[0, 0]
+    # the encoder's own attention does read the visual position
+    assert all(np.all(probs[..., 0] > 0.0) for probs in enc_sink.values())
     sink = {}
     m.decode_step(enc, [[m.BOS, 5, 6]], tiny_params, attn_sink=sink)
     cross = [sink[k] for k in sink if ".cross" in k]
@@ -156,13 +174,13 @@ def test_decode_step_rejects_bad_prefix_batches(tiny_params):
     with pytest.raises(ValueError, match="at least one prefix"):
         m.decode_step(enc, [], tiny_params)
     with pytest.raises(ValueError, match="equal length"):
-        m.decode_step(enc.repeat(2), [[m.BOS, 5], [m.BOS]], tiny_params)
+        m.decode_step(enc, [[m.BOS, 5], [m.BOS]], tiny_params)
     with pytest.raises(ValueError, match="BOS"):
-        m.decode_step(enc.repeat(2), [[m.BOS, 5], [6, 5]], tiny_params)
-    with pytest.raises(ValueError, match="encoder batch 1 != 2 prefixes"):
-        m.decode_step(enc, [[m.BOS, 5], [m.BOS, 6]], tiny_params)
-    with pytest.raises(ValueError, match="only batch-1 states repeat"):
-        enc.repeat(2).repeat(2)
+        m.decode_step(enc, [[m.BOS, 5], [6, 5]], tiny_params)
+    ids, valid = m.pad_batch([[5, 6], [7, 8]])
+    two = m.encode_batch(tiny_params, ids, valid, None)
+    with pytest.raises(ValueError, match="encoder batch 2 != 1"):
+        m.decode_step(two, [[m.BOS, 5], [m.BOS, 6]], tiny_params)
 
 
 def test_decode_step_returns_distribution(tiny_params):
@@ -175,14 +193,15 @@ def test_decode_step_returns_distribution(tiny_params):
 
 @pytest.mark.parametrize("use_extras", [True, False])
 def test_decode_step_rows_equal_one_prefix_calls(tiny_params, use_extras):
-    """Equal-length prefixes share a call without padding: every row, and
-    every attention row in the sink, is the one-prefix call's to the bit."""
+    """Equal-length prefixes share a call, and the one batch-1 encoding,
+    without padding: every row, and every attention row in the sink, is the
+    one-prefix call's to the bit."""
     m.randomize_extras(tiny_params, seed=11)
     src, img = _example(tiny_params, image=use_extras)
     enc = m.encode(src, img, tiny_params, use_extras=use_extras)
     prefixes = [[m.BOS, 5, 6], [m.BOS, 9, 4], [m.BOS, 5, 6], [m.BOS, 2, 15]]
     sink = {}
-    rows = m.decode_step(enc.repeat(4), prefixes, tiny_params,
+    rows = m.decode_step(enc, prefixes, tiny_params,
                          use_extras=use_extras, attn_sink=sink)
     assert rows.shape == (4, tiny_params.config.vocab_size)
     heads = tiny_params.config.n_heads
@@ -210,18 +229,17 @@ def test_project_image_checks_dimension(tiny_params):
 def test_apply_source_mask_count_rounds_half_up():
     rng = np.random.default_rng(0)
     for n, rate, want in [(4, 0.25, 1), (6, 0.25, 2), (5, 0.5, 3), (3, 0.1, 1)]:
-        masked, chosen = m.apply_source_mask(list(range(10, 10 + n)), rate, rng)
+        chosen = m.apply_source_mask(list(range(10, 10 + n)), rate, rng)
         assert len(chosen) == want, (n, rate)
-        assert all(masked[j] == m.MASK for j in chosen)
-        assert all(masked[j] != m.MASK for j in range(n) if j not in chosen)
+        assert list(chosen) == sorted(set(chosen))
+        assert all(0 <= j < n for j in chosen)
 
 
 def test_apply_source_mask_edge_rates():
     rng = np.random.default_rng(1)
     src = [5, 6, 7, 8]
-    assert m.apply_source_mask(src, 0.0, rng) == (src, ())
-    masked, chosen = m.apply_source_mask(src, 1.0, rng)
-    assert masked == [m.MASK] * 4 and chosen == (0, 1, 2, 3)
+    assert m.apply_source_mask(src, 0.0, rng) == ()
+    assert m.apply_source_mask(src, 1.0, rng) == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         m.apply_source_mask(src, 1.5, rng)
 

@@ -33,8 +33,7 @@ def test_decode_step_rows_equal_one_prefix_calls(case, use_extras):
     image = np.linspace(-1.0, 1.0, TINY.image_dim) if use_extras else None
     with ad.no_grad():
         enc = m.encode(source, image, PARAMS, use_extras=use_extras)
-        rows = m.decode_step(enc.repeat(len(prefixes)), prefixes, PARAMS,
-                             use_extras=use_extras)
+        rows = m.decode_step(enc, prefixes, PARAMS, use_extras=use_extras)
         for row, prefix in zip(rows, prefixes):
             one = m.decode_step(enc, [prefix], PARAMS, use_extras=use_extras)
             assert row.tobytes() == one[0].tobytes()
