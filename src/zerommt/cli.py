@@ -133,52 +133,43 @@ def _load_world(out: Path) -> sc.World:
         raise ValueError(f"{path}: {e}") from e
 
 
-def _read_fitting(read, path: Path, model_config: m.ModelConfig) -> list:
-    """The records ``read`` finds in ``path``, each checked to fit a model of
-    ``model_config`` before any stage works on them."""
-    records = read(path)
+def _split_io(name: str):
+    """(reader, writer) of the split ``name``: contrastive instances for a
+    ``*_contrastive`` split, examples for any other."""
+    if name.endswith("_contrastive"):
+        return sc.read_contrastive, sc.write_contrastive
+    return sc.read_examples, sc.write_examples
+
+
+def _load_split(out: Path, name: str, model_config: m.ModelConfig) -> list:
+    """The records of the split ``name``, each checked to fit a model of
+    ``model_config`` before any stage works on them; a split without
+    records fails here, by path."""
+    path = _corpus_dir(out) / f"{name}.jsonl"
+    records = _split_io(name)[0](path)
+    if not records:
+        raise ValueError(f"{path}: no records")
     sc.check_fit(path, records, model_config)
     return records
 
 
-def _load_split_examples(out: Path, name: str,
-                         model_config: m.ModelConfig) -> list[sc.Example]:
-    return _read_fitting(sc.read_examples, _corpus_dir(out) / f"{name}.jsonl",
-                         model_config)
-
-
-def _load_split_contrastive(out: Path, name: str, model_config: m.ModelConfig
-                            ) -> list[ev.ContrastiveInstance]:
-    return _read_fitting(sc.read_contrastive,
-                         _corpus_dir(out) / f"{name}.jsonl", model_config)
-
-
-def _load_base(out: Path) -> m.ModelParams:
-    params, _ = m.load_checkpoint(out / "base.ckpt")
+def _load_model(path: Path) -> m.ModelParams:
+    """The checkpoint at ``path``, its base frozen."""
+    params, _ = m.load_checkpoint(path)
     params.freeze_base()
     return params
 
 
 def _train_data(out: Path, config: RunConfig,
                 model_config: m.ModelConfig) -> tr.TrainData:
-    pseudo_path = _corpus_dir(out) / "mmt_train_pseudo.jsonl"
-    if config.targets == "pseudo":
-        if not pseudo_path.exists():
-            raise FileNotFoundError(
-                f"{pseudo_path} missing: run the translate stage first "
-                "(or set targets=gold)"
-            )
-        train_examples = _load_split_examples(out, "mmt_train_pseudo",
-                                              model_config)
-    else:
-        train_examples = _load_split_examples(out, "mmt_train", model_config)
-    return tr.TrainData(
-        mmt_train=train_examples,
-        val_contrastive=_load_split_contrastive(out, "val_contrastive",
-                                                model_config),
-        val_translation=_load_split_examples(out, "val_translation",
-                                             model_config),
-    )
+    train_split = "mmt_train_pseudo" if config.targets == "pseudo" else "mmt_train"
+    path = _corpus_dir(out) / f"{train_split}.jsonl"
+    if config.targets == "pseudo" and not path.exists():
+        raise FileNotFoundError(
+            f"{path} missing: run the translate stage first (or set targets=gold)"
+        )
+    return tr.TrainData(*(_load_split(out, name, model_config) for name in
+                          (train_split, "val_contrastive", "val_translation")))
 
 
 # ---------------------------------------------------------------------------
@@ -191,34 +182,23 @@ def cmd_gen(config: RunConfig, out: Path) -> None:
     cdir = _corpus_dir(out)
     cdir.mkdir(parents=True, exist_ok=True)
     _write_json(cdir / "world.json", _meta(config, world=sc.world_to_dict(world)))
-    sc.write_examples(cdir / "pretrain_parallel.jsonl", splits.pretrain_parallel)
-    sc.write_examples(cdir / "mmt_train.jsonl", splits.mmt_train)
-    sc.write_contrastive(cdir / "val_contrastive.jsonl", splits.val_contrastive)
-    sc.write_examples(cdir / "val_translation.jsonl", splits.val_translation)
-    sc.write_contrastive(cdir / "test_contrastive.jsonl", splits.test_contrastive)
-    sc.write_examples(cdir / "test_translation.jsonl", splits.test_translation)
-    for name, n in (
-        ("pretrain_parallel", len(splits.pretrain_parallel)),
-        ("mmt_train", len(splits.mmt_train)),
-        ("val_contrastive", len(splits.val_contrastive)),
-        ("val_translation", len(splits.val_translation)),
-        ("test_contrastive", len(splits.test_contrastive)),
-        ("test_translation", len(splits.test_translation)),
-    ):
-        print(f"{name}: {n}")
+    for f in dataclasses.fields(sc.Splits):
+        records = getattr(splits, f.name)
+        _split_io(f.name)[1](cdir / f"{f.name}.jsonl", records)
+        print(f"{f.name}: {len(records)}")
 
 
 def cmd_pretrain(config: RunConfig, out: Path) -> None:
-    corpus = _load_split_examples(out, "pretrain_parallel", config.model)
+    corpus = _load_split(out, "pretrain_parallel", config.model)
     params = tr.pretrain_base(corpus, config.model, config.pretrain)
     m.save_checkpoint(out / "base.ckpt", params, meta=_meta(config, stage="pretrain"))
     print(f"pretrained base saved to {out / 'base.ckpt'}")
 
 
 def cmd_translate(config: RunConfig, out: Path) -> None:
-    base = _load_base(out)
+    base = _load_model(out / "base.ckpt")
     world = _load_world(out)
-    gold = _load_split_examples(out, "mmt_train", base.config)
+    gold = _load_split(out, "mmt_train", base.config)
     pseudo, report = sc.pseudo_translate(
         base, gold, world, width=config.eval_beam_width
     )
@@ -239,7 +219,7 @@ def cmd_translate(config: RunConfig, out: Path) -> None:
 
 
 def cmd_train(config: RunConfig, out: Path, mode: str) -> None:
-    base = _load_base(out)
+    base = _load_model(out / "base.ckpt")
     data = _train_data(out, config, base.config)
     train_config = dataclasses.replace(config.train, mode=mode)
     result = tr.train(train_config, data, base)
@@ -260,8 +240,7 @@ def cmd_train(config: RunConfig, out: Path, mode: str) -> None:
 
 def _ambiguous_words(world: sc.World, instances, path: Path) -> list[int]:
     """The ambiguous source word of each contrastive instance."""
-    words = [next((t for t in inst.src if t in world.amb_tgt), None)
-             for inst in instances]
+    words = [world.ambiguous_word(inst.src) for inst in instances]
     for inst, word in zip(instances, words):
         if word is None:
             raise ValueError(f"{path}: instance {inst.id} has no ambiguous "
@@ -288,13 +267,6 @@ def _sense_accuracy(
     return 100.0 * hits / max(1, total)
 
 
-def _load_mm(out: Path, ckpt: Path | None) -> m.ModelParams:
-    mm, _ = m.load_checkpoint(ckpt if ckpt is not None
-                              else out / "train_full" / "best.ckpt")
-    mm.freeze_base()
-    return mm
-
-
 def cmd_eval(
     config: RunConfig,
     out: Path,
@@ -304,12 +276,13 @@ def cmd_eval(
 ) -> None:
     # the text-only report evaluates the frozen base at gamma = 0 and keeps
     # the --gamma it was given
-    params = _load_base(out) if text_only else _load_mm(out, ckpt)
+    params = _load_model(out / "base.ckpt" if text_only
+                         else (ckpt or out / "train_full" / "best.ckpt"))
     world = _load_world(out)
-    instances = _load_split_contrastive(out, "test_contrastive", params.config)
+    instances = _load_split(out, "test_contrastive", params.config)
     words = _ambiguous_words(world, instances,
                              _corpus_dir(out) / "test_contrastive.jsonl")
-    translation = _load_split_examples(out, "test_translation", params.config)
+    translation = _load_split(out, "test_translation", params.config)
     width, space = config.eval_beam_width, config.cfg_space
     eval_gamma = 0.0 if text_only else gamma
     tag = "base" if text_only else f"gamma{gamma:g}"
@@ -359,9 +332,10 @@ def cmd_sweep(
     if param not in ("gamma", "lambda"):
         raise ValueError(f"unknown sweep parameter {param!r}")
     # the gamma sweep blends the adapted model; the lambda sweep adapts the base
-    params = _load_mm(out, ckpt) if param == "gamma" else _load_base(out)
-    instances = _load_split_contrastive(out, "test_contrastive", params.config)
-    translation = _load_split_examples(out, "test_translation", params.config)
+    params = _load_model((ckpt or out / "train_full" / "best.ckpt")
+                         if param == "gamma" else out / "base.ckpt")
+    instances = _load_split(out, "test_contrastive", params.config)
+    translation = _load_split(out, "test_translation", params.config)
     width, space = config.eval_beam_width, config.cfg_space
     rows = []
 

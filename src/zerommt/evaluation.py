@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,11 +56,6 @@ class EvalReport:
     mean_ppl_wrong: float
     n_ties: int
     rows: list[InstanceRow] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["rows"] = [asdict(r) for r in self.rows]
-        return d
 
     def rows_csv(self) -> str:
         lines = ["id,orientation,ppl_correct,ppl_wrong,score"]

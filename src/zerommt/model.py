@@ -93,9 +93,6 @@ class ModelParams:
         for t in self.tensors.values():
             t.grad = None
 
-    def n_trainable_scalars(self) -> int:
-        return sum(t.data.size for t in self.tensors.values() if t.requires_grad)
-
     def base_bytes(self) -> bytes:
         return b"".join(
             self.tensors[n].data.astype("<f8").tobytes() for n in self.base_names()
@@ -463,12 +460,7 @@ def encode(
     params: ModelParams,
     use_extras: bool = True,
 ) -> EncoderStates:
-    if len(x) == 0:
-        raise ValueError("empty source sequence")
-    ids = np.asarray([x], dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= params.config.vocab_size:
-        raise ValueError("source token id out of vocabulary")
-    valid = np.ones_like(ids, dtype=bool)
+    ids, valid = pad_batch([x])
     images = None if i is None else np.asarray([i], dtype=np.float64)
     return encode_batch(params, ids, valid, images, use_extras=use_extras)
 

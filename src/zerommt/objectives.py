@@ -23,10 +23,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .decoding import PROB_FLOOR
 from .model import (BOS, EOS, MASK, ModelParams, pad_batch, teacher_forced_logits,
                     teacher_forced_rows)
 
-LOG_FLOOR = 1e-12
 # tokens at least this fraction as probable under the frozen base as the
 # pseudo-target token form its accepted set (see accepted_tokens)
 ACCEPT_RATIO = 0.2
@@ -244,7 +244,7 @@ def kl_penalty(
     """
     lp, tgt_out, w = _teacher_forced(batch.examples, params, masked=False,
                                      multimodal=True)
-    p_lp = ad.clip_min(lp, np.log(LOG_FLOOR))
+    p_lp = ad.clip_min(lp, np.log(PROB_FLOOR))
     q_lp = _padded_base_logprobs(params, batch.examples, tgt_out.shape[1], base_lp)
     q = np.exp(q_lp)
     accept = _accept_mask(batch.examples, tgt_out, q.shape[-1])

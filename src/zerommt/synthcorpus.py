@@ -118,6 +118,10 @@ class World:
     def sense_tokens(self, word: int) -> tuple[int, int]:
         return self.amb_tgt[word]
 
+    def ambiguous_word(self, src: list[int]) -> int | None:
+        """The first ambiguous word of ``src``, or None."""
+        return next((t for t in src if t in self.amb_tgt), None)
+
 
 @dataclass
 class Example:
@@ -360,7 +364,7 @@ def annotate(world: World, example: Example) -> Example:
     """``example`` with ``amb_word``, ``sense`` and ``has_cue`` derived from
     its tokens: the ambiguous source word; the sense its cue names, or,
     without a cue, the sense token in the gold target."""
-    word = next((t for t in example.src if t in world.amb_tgt), None)
+    word = world.ambiguous_word(example.src)
     sense, has_cue = None, False
     if word is not None:
         cued = [s for s in (0, 1) if world.cue[(word, s)] in example.src]

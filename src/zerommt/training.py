@@ -143,15 +143,6 @@ def clone_params(params: ModelParams) -> ModelParams:
     )
 
 
-def _collect_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    out = {}
-    for n in params.trainable_names():
-        g = params.tensors[n].grad
-        if g is not None:
-            out[n] = g
-    return out
-
-
 def _batches(n: int, batch_size: int, steps: int, rng: np.random.Generator):
     """Deterministic epoch shuffling: a fresh permutation per epoch, fixed
     batch order within it."""
@@ -164,6 +155,35 @@ def _batches(n: int, batch_size: int, steps: int, rng: np.random.Generator):
             yield order[:batch_size]
             order = order[batch_size:]
             produced += 1
+
+
+def _descend(params: ModelParams, config, n: int, rng: np.random.Generator,
+             loss_of, stage: str):
+    """Adam descent over shuffled batches of ``n`` examples, yielding
+    ``(step, values)`` after each update. ``loss_of(idxs)`` returns the
+    losses of one batch of example indices, the total first, and None for
+    a term that is off; ``values`` holds them as floats, so no caller keeps
+    a step's graph alive through the next backward. A non-finite total
+    raises naming ``stage`` and the step.
+
+    ``train``'s source masks draw from the same ``rng`` as ``_batches``, so
+    ``loss_of`` must run between batch draws: that order is part of
+    ``train_log.csv``'s bytes.
+    """
+    state = AdamState()
+    for step, idxs in enumerate(
+        _batches(n, min(config.batch_size, n), config.max_steps, rng), start=1
+    ):
+        losses = loss_of(idxs)
+        if not np.isfinite(losses[0].data):
+            raise RuntimeError(
+                f"{stage} diverged at step {step}: loss={losses[0].data}")
+        ad.backward(losses[0])
+        grads = {name: t.grad for name, t in params.tensors.items()
+                 if t.requires_grad and t.grad is not None}
+        adam_step(params, grads, state, config.lr)
+        params.zero_grads()
+        yield step, [None if x is None else float(x.data) for x in losses]
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +201,17 @@ def pretrain_base(
     config.validate()
     params = m.build_model(model_config, seed=config.seed)
     params.unfreeze_base()
-    state = AdamState()
-    rng = np.random.default_rng([config.seed, 17])
-    n = len(parallel_corpus)
-    for step, idxs in enumerate(
-        _batches(n, min(config.batch_size, n), config.max_steps, rng), start=1
-    ):
-        batch = Batch(
-            [
-                BatchExample(src=parallel_corpus[k].src, tgt=parallel_corpus[k].tgt)
-                for k in idxs
-            ]
-        )
-        loss = obj.text_nll(batch, params)
-        if not np.isfinite(loss.data):
-            raise RuntimeError(f"pretraining diverged at step {step}: loss={loss.data}")
-        ad.backward(loss)
-        grads = _collect_grads(params)
-        adam_step(params, grads, state, config.lr)
-        params.zero_grads()
+
+    def loss_of(idxs):
+        return (obj.text_nll(Batch([
+            BatchExample(src=parallel_corpus[k].src, tgt=parallel_corpus[k].tgt)
+            for k in idxs
+        ]), params),)
+
+    for _ in _descend(params, config, len(parallel_corpus),
+                      np.random.default_rng([config.seed, 17]), loss_of,
+                      "pretraining"):
+        pass
     params.freeze_base()
     return params
 
@@ -228,70 +240,53 @@ def train(
 ) -> TrainResult:
     """Adapt the frozen base on multimodal data; only extras move."""
     config.validate()
-    if not corpus.mmt_train:
-        raise ValueError("empty training corpus")
+    for name in ("mmt_train", "val_contrastive", "val_translation"):
+        if not getattr(corpus, name):
+            raise ValueError(f"empty {name} corpus")
     params = clone_params(frozen_base)
     params.freeze_base()
     m.reinit_extras(params, seed=config.seed)
-    examples = corpus.mmt_train
 
     batch_examples = [
-        BatchExample(src=ex.src, tgt=ex.tgt, image=ex.image) for ex in examples
+        BatchExample(src=ex.src, tgt=ex.tgt, image=ex.image)
+        for ex in corpus.mmt_train
     ]
     base_cache = obj.base_teacher_logprobs(params, batch_examples)
     for ex, lp in zip(batch_examples, base_cache):
         ex.accept = obj.accepted_tokens(lp, ex.tgt, obj.ACCEPT_RATIO)
-
-    state = AdamState()
     rng = np.random.default_rng([config.seed, 29])
-    n = len(examples)
+
+    def loss_of(idxs):
+        batch = [
+            BatchExample(src=ex.src, tgt=ex.tgt, image=ex.image, accept=ex.accept,
+                         mask_set=m.apply_source_mask(ex.src, config.mask_rate, rng))
+            for ex in (batch_examples[k] for k in idxs)
+        ]
+        return obj.adaptation_loss(Batch(batch), params, config.mode, config.lam,
+                                   base_lp=[base_cache[k] for k in idxs])
+
     log_rows: list[dict] = []
     checkpoints: list[Checkpoint] = []
-
-    def snapshot(step: int) -> Checkpoint:
-        acc, margin, bleu_score = evaluate_checkpoint(
-            params, corpus.val_contrastive, corpus.val_translation
-        )
-        return Checkpoint(
-            step=step, extras=params.copy_extras(),
-            contrastive_acc=acc, bleu=bleu_score, contrastive_margin=margin,
-        )
-
-    for step, idxs in enumerate(
-        _batches(n, min(config.batch_size, n), config.max_steps, rng), start=1
+    for step, (total, vmlm, anchor) in _descend(
+        params, config, len(batch_examples), rng, loss_of, "training"
     ):
-        batch_list = []
-        for k in idxs:
-            ex = batch_examples[k]
-            mask_set = m.apply_source_mask(ex.src, config.mask_rate, rng)
-            batch_list.append(
-                BatchExample(src=ex.src, tgt=ex.tgt, image=ex.image,
-                             mask_set=mask_set, accept=ex.accept)
-            )
-        total, vmlm, anchor = obj.adaptation_loss(
-            Batch(batch_list), params, config.mode, config.lam,
-            base_lp=[base_cache[k] for k in idxs],
-        )
-        if not np.isfinite(total.data):
-            raise RuntimeError(f"training diverged at step {step}: loss={total.data}")
-        ad.backward(total)
-        grads = _collect_grads(params)
-        adam_step(params, grads, state, config.lr)
-        params.zero_grads()
-
         row = {
             "step": step,
-            "vmlm": 0.0 if vmlm is None else float(vmlm.data),
-            "kl": 0.0 if anchor is None else float(anchor.data),
-            "total": float(total.data),
+            "vmlm": 0.0 if vmlm is None else vmlm,
+            "kl": 0.0 if anchor is None else anchor,
+            "total": total,
             "val_contrastive": "",
             "val_bleu": "",
         }
         if step % config.eval_every == 0 or step == config.max_steps:
-            cp = snapshot(step)
-            checkpoints.append(cp)
-            row["val_contrastive"] = cp.contrastive_acc
-            row["val_bleu"] = cp.bleu
+            acc, margin, bleu_score = evaluate_checkpoint(
+                params, corpus.val_contrastive, corpus.val_translation
+            )
+            checkpoints.append(Checkpoint(
+                step=step, extras=params.copy_extras(),
+                contrastive_acc=acc, bleu=bleu_score, contrastive_margin=margin,
+            ))
+            row["val_contrastive"], row["val_bleu"] = acc, bleu_score
         log_rows.append(row)
 
     best = select_model(checkpoints)

@@ -622,7 +622,7 @@ def test_determinism(pipeline, tmp_path, report):
     )
     eval_same = (
         eval_a.rows_csv() == eval_b.rows_csv()
-        and eval_a.to_dict() == eval_b.to_dict()
+        and eval_a == eval_b
     )
 
     ok = corpus_same and csv_same and eval_same

@@ -354,18 +354,17 @@ STAGE_ARGS = {"eval": ["--gamma", "2.0"], "train": ["--mode", "full"],
               "sweep": ["--param", "gamma", "--values", "2.0"]}
 
 
-@pytest.mark.parametrize("case", sorted(MISFITS))
-def test_records_that_do_not_fit_the_model_fail_by_file_and_id(
-        run_dir, tmp_path, capsys, case):
-    # unchecked, these failed inside the forward with a message that named
-    # neither the file nor the record
-    stage, split, edit, message, output = MISFITS[case]
+def _run_on_edited_split(run_dir, tmp_path, capsys, stage, split, edit,
+                         output):
+    """Run ``stage`` on a copy of the run directory whose ``split`` records
+    ``edit`` rewrote in place; the split's path, its records, the stage's
+    stderr, and whether the stage left ``output`` as it was."""
     config_path, out = run_dir
     bad = tmp_path / "bad"
     shutil.copytree(out, bad)
     path = bad / "corpus" / f"{split}.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    edit(records[1])
+    edit(records)
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
     def written():
@@ -375,9 +374,38 @@ def test_records_that_do_not_fit_the_model_fail_by_file_and_id(
     capsys.readouterr()
     assert cli.main([stage, "--config", str(config_path), "--out", str(bad),
                      *STAGE_ARGS.get(stage, [])]) == 1
-    err = capsys.readouterr().err
+    return path, records, capsys.readouterr().err, written() == before
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
+def test_records_that_do_not_fit_the_model_fail_by_file_and_id(
+        run_dir, tmp_path, capsys, case):
+    # unchecked, these failed inside the forward with a message that named
+    # neither the file nor the record
+    stage, split, edit, message, output = MISFITS[case]
+    path, records, err, unchanged = _run_on_edited_split(
+        run_dir, tmp_path, capsys, stage, split, lambda rs: edit(rs[1]), output)
     assert f"{path}: record id {records[1]['id']}: {message}" in err
-    assert written() == before
+    assert unchanged
+
+
+# stage -> (split left empty, what the stage writes)
+EMPTY_SPLITS = {
+    "pretrain": ("pretrain_parallel", "base.ckpt"),
+    "train": ("val_translation", "train_full/best.ckpt"),
+    "eval": ("test_translation", "eval_gamma2/eval_report.json"),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(EMPTY_SPLITS))
+def test_an_empty_split_fails_at_load_by_path(run_dir, tmp_path, capsys, stage):
+    # unchecked, train ran eval_every steps and eval scored the whole
+    # contrastive set before a bare "empty corpus"
+    split, output = EMPTY_SPLITS[stage]
+    path, _, err, unchanged = _run_on_edited_split(
+        run_dir, tmp_path, capsys, stage, split, list.clear, output)
+    assert f"{path}: no records" in err
+    assert unchanged
 
 
 def test_sweep_gamma_writes_grid(run_dir):

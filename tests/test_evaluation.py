@@ -162,9 +162,8 @@ def test_eval_report_csv_layout():
     assert lines[0] == "id,orientation,ppl_correct,ppl_wrong,score"
     assert len(lines) == 3
     assert lines[1].startswith("0,a,") and lines[2].startswith("0,b,")
-    d = report.to_dict()
-    assert d["contrastive_accuracy"] == 100.0
-    assert len(d["rows"]) == 2
+    assert report.contrastive_accuracy == 100.0
+    assert len(report.rows) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ def test_config_validation_errors():
 def test_default_trainable_scalar_count():
     # 10 adapters x (64*8 + 8 + 8*64 + 64) + projector (16*64 + 64) = 12048
     params = m.build_model(m.ModelConfig(), seed=0)
-    assert params.n_trainable_scalars() == 12048
+    assert sum(t.data.size for t in params.tensors.values()
+               if t.requires_grad) == 12048
 
 
 def test_freeze_partitions_trainables(tiny_params):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zerommt import autodiff as ad
+from zerommt import decoding as dec
 from zerommt import model as m
 from zerommt import objectives as obj
 from zerommt.objectives import Batch, BatchExample
@@ -169,7 +170,7 @@ def test_kl_matches_manual_full_vocab_sum(tiny_params):
     q_lp = obj.base_teacher_logprobs(tiny_params, [ex])[0]
     p_lp = np.maximum(
         _manual_logprobs(tiny_params, ex.src, ex.tgt, ex.image),
-        np.log(obj.LOG_FLOOR),
+        np.log(dec.PROB_FLOOR),
     )
     want = (np.exp(q_lp) * (q_lp - p_lp)).sum(axis=-1).mean()
     got = obj.kl_penalty(Batch([ex]), tiny_params).data
@@ -337,7 +338,7 @@ def test_kl_merges_multi_token_sets_into_one_outcome(tiny_params):
     q_lp = obj.base_teacher_logprobs(tiny_params, [ex])[0]
     p_lp = np.maximum(
         _manual_logprobs(tiny_params, ex.src, ex.tgt, ex.image),
-        np.log(obj.LOG_FLOOR),
+        np.log(dec.PROB_FLOOR),
     )
     q, p = np.exp(q_lp), np.exp(p_lp)
     s0 = [8, 10, 11]

@@ -212,6 +212,14 @@ def _mini_train_config(**overrides):
     return TrainConfig(**defaults)
 
 
+def _mini_data(splits):
+    return TrainData(
+        mmt_train=splits.mmt_train,
+        val_contrastive=splits.val_contrastive,
+        val_translation=splits.val_translation,
+    )
+
+
 def test_pretrain_freezes_base(mini_base):
     assert mini_base.trainable_names() == mini_base.extra_names()
     for name in mini_base.base_names():
@@ -220,11 +228,7 @@ def test_pretrain_freezes_base(mini_base):
 
 def test_train_runs_all_modes_without_touching_base(mini_world, mini_base):
     _, splits = mini_world
-    data = TrainData(
-        mmt_train=splits.mmt_train,
-        val_contrastive=splits.val_contrastive,
-        val_translation=splits.val_translation,
-    )
+    data = _mini_data(splits)
     before = mini_base.base_bytes()
     for mode in tr.TRAIN_MODES:
         result = tr.train(_mini_train_config(mode=mode), data, mini_base)
@@ -243,11 +247,7 @@ def test_train_runs_all_modes_without_touching_base(mini_world, mini_base):
 
 def test_train_is_deterministic(mini_world, mini_base):
     _, splits = mini_world
-    data = TrainData(
-        mmt_train=splits.mmt_train,
-        val_contrastive=splits.val_contrastive,
-        val_translation=splits.val_translation,
-    )
+    data = _mini_data(splits)
     a = tr.train(_mini_train_config(), data, mini_base)
     b = tr.train(_mini_train_config(), data, mini_base)
     assert tr.log_rows_to_csv(a.log_rows) == tr.log_rows_to_csv(b.log_rows)
@@ -261,6 +261,68 @@ def test_train_rejects_empty_corpus(mini_base):
     data = TrainData(mmt_train=[], val_contrastive=[], val_translation=[])
     with pytest.raises(ValueError):
         tr.train(TrainConfig(), data, mini_base)
+
+
+def _counting_adam(monkeypatch):
+    calls = []
+
+    def counting(*args, _step=tr.adam_step):
+        calls.append(1)
+        return _step(*args)
+
+    monkeypatch.setattr(tr, "adam_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("empty", ["mmt_train", "val_contrastive",
+                                   "val_translation"])
+def test_train_rejects_an_empty_split_by_name_before_step_1(
+        mini_world, mini_base, monkeypatch, empty):
+    # an empty validation split used to fail only at the first snapshot,
+    # eval_every steps in, with a bare "empty corpus"
+    _, splits = mini_world
+    data = _mini_data(splits)
+    setattr(data, empty, [])
+    calls = _counting_adam(monkeypatch)
+    with pytest.raises(ValueError, match=f"empty {empty} corpus"):
+        tr.train(_mini_train_config(), data, mini_base)
+    assert calls == []
+
+
+def test_pretraining_divergence_names_the_step(mini_world):
+    from conftest import TINY
+
+    world, _ = mini_world
+    splits = sc.generate_splits(world, sc.SplitSizes(
+        pretrain_parallel=64, mmt_train=1, val_contrastive=1,
+        val_translation=1, test_contrastive=1, test_translation=1))
+    config = dataclasses.replace(TINY, d_model=16)
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match="pretraining diverged at step 2: loss="):
+        tr.pretrain_base(splits.pretrain_parallel, config,
+                         PretrainConfig(lr=1e150, max_steps=10, batch_size=8))
+
+
+def test_training_divergence_stops_before_the_update(
+        mini_world, mini_base, monkeypatch):
+    _, splits = mini_world
+    data = _mini_data(splits)
+    losses = []
+
+    def nan_at_step_3(*args, _loss=tr.obj.adaptation_loss, **kwargs):
+        total, vmlm, anchor = _loss(*args, **kwargs)
+        losses.append(total)
+        if len(losses) == 3:
+            total = ad.scale(total, math.nan)
+        return total, vmlm, anchor
+
+    monkeypatch.setattr(tr.obj, "adaptation_loss", nan_at_step_3)
+    calls = _counting_adam(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match="training diverged at step 3: loss=nan"):
+        tr.train(_mini_train_config(), data, mini_base)
+    assert len(losses) == 3
+    assert len(calls) == 2
 
 
 def test_clone_params_is_independent(mini_base):
