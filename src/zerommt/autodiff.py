@@ -4,7 +4,8 @@ Small op surface, just enough for a toy transformer: matmul, elementwise
 arithmetic, ReLU/exp/log, stable softmax / log-softmax, layer norm,
 embedding lookup, concatenation, gather. Everything is float64 and fully
 deterministic: two identical forward+backward passes produce bit-identical
-numbers.
+numbers. ``backward`` consumes the graph it walks: interior nodes are freed
+as their gradients pass, and only leaves keep ``.grad``.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ class Tensor:
     ``no_grad``, record nothing, so frozen-model and inference forwards
     build no graph at all. A closure computes the gradient of only those
     parents that require grad, so frozen weights cost no backward work.
+    ``backward`` consumes the graph: afterwards each interior node keeps
+    its ``data`` but no ``grad``, closure or parents, and only leaves
+    (tensors made directly, such as parameters) hold gradients.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -414,11 +419,20 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 # backward pass and gradient checking
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode pass from a scalar loss.
+def _consumed(g: np.ndarray) -> None:
+    """Stands in for the closure of a node whose gradient has passed."""
+    raise RuntimeError("backward: graph already consumed by an earlier "
+                       "backward (run the forward again)")
 
-    Traverses the tape once, in reverse topological order. Leaves with
-    ``requires_grad=False`` receive no gradient.
+
+def backward(loss: Tensor) -> None:
+    """Reverse-mode pass from a scalar loss that consumes its graph.
+
+    Traverses the tape once, in reverse topological order. Once a node's
+    closure has passed its gradient on, the node drops its ``.grad``, its
+    closure and its parents, so activations are freed as the walk passes
+    them. Only leaves keep ``.grad``; leaves with ``requires_grad=False``
+    receive none. A second backward through a consumed node raises.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -437,15 +451,19 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _consumed:
+            _consumed(node.grad)  # fail before any gradient moves
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
 
 def grad_check(

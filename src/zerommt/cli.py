@@ -276,6 +276,9 @@ def cmd_eval(
 ) -> None:
     # the text-only report evaluates the frozen base at gamma = 0 and keeps
     # the --gamma it was given
+    if text_only and ckpt is not None:
+        raise ValueError("--ckpt does not apply to eval --text-only "
+                         f"(it evaluates {out / 'base.ckpt'})")
     params = _load_model(out / "base.ckpt" if text_only
                          else (ckpt or out / "train_full" / "best.ckpt"))
     world = _load_world(out)
@@ -331,6 +334,9 @@ def cmd_sweep(
         raise ValueError("sweep needs at least one value")
     if param not in ("gamma", "lambda"):
         raise ValueError(f"unknown sweep parameter {param!r}")
+    if param == "lambda" and ckpt is not None:
+        raise ValueError("--ckpt does not apply to sweep --param lambda "
+                         f"(it adapts {out / 'base.ckpt'})")
     # the gamma sweep blends the adapted model; the lambda sweep adapts the base
     params = _load_model((ckpt or out / "train_full" / "best.ckpt")
                          if param == "gamma" else out / "base.ckpt")

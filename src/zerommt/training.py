@@ -162,9 +162,10 @@ def _descend(params: ModelParams, config, n: int, rng: np.random.Generator,
     """Adam descent over shuffled batches of ``n`` examples, yielding
     ``(step, values)`` after each update. ``loss_of(idxs)`` returns the
     losses of one batch of example indices, the total first, and None for
-    a term that is off; ``values`` holds them as floats, so no caller keeps
-    a step's graph alive through the next backward. A non-finite total
-    raises naming ``stage`` and the step.
+    a term that is off; ``values`` holds them as floats. ``ad.backward``
+    consumes the step's graph, so the loss tensors still held here keep
+    only their values through the next forward. A non-finite total raises
+    naming ``stage`` and the step.
 
     ``train``'s source masks draw from the same ``rng`` as ``_batches``, so
     ``loss_of`` must run between batch draws: that order is part of

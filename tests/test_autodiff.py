@@ -2,6 +2,7 @@
 for the core ops, and finite-difference checks for the composites."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -308,6 +309,35 @@ def test_gradient_accumulates_over_reuse():
     x = Tensor(np.array([3.0]), requires_grad=True)
     _sum_backward(ad.add(x, x))
     assert np.array_equal(x.grad, [2.0])
+
+
+def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
+    h = ad.relu(ad.mul(x, w))
+    loss = ad.tsum(ad.exp(h))
+    ref = weakref.ref(h)
+    del h
+    ad.backward(loss)
+    assert ref() is None
+    assert loss.grad is None and loss._parents == ()
+    assert loss.data == np.exp(0.5) + 1.0 + np.exp(6.0)
+    up = np.exp(np.maximum(x.data * w.data, 0.0)) * (x.data * w.data > 0.0)
+    assert np.array_equal(x.grad, up * w.data)
+    assert np.array_equal(w.grad, up * x.data)
+
+
+def test_a_second_backward_on_a_consumed_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = ad.mul(x, x)
+    loss = ad.tsum(h)
+    ad.backward(loss)
+    with pytest.raises(RuntimeError, match="already consumed"):
+        ad.backward(loss)
+    # a new forward through a consumed node fails before any gradient moves
+    with pytest.raises(RuntimeError, match="already consumed"):
+        ad.backward(ad.tsum(ad.scale(h, 3.0)))
+    assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 # ---------------------------------------------------------------------------

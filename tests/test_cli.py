@@ -408,6 +408,29 @@ def test_an_empty_split_fails_at_load_by_path(run_dir, tmp_path, capsys, stage):
     assert unchanged
 
 
+@pytest.mark.parametrize("stage_args,message,output", [
+    (["eval", "--text-only"],
+     "--ckpt does not apply to eval --text-only (it evaluates {})",
+     "eval_base"),
+    (["sweep", "--param", "lambda", "--values", "1.0"],
+     "--ckpt does not apply to sweep --param lambda (it adapts {})",
+     "sweep_lambda"),
+], ids=["eval_text_only", "sweep_lambda"])
+def test_a_ckpt_the_stage_would_ignore_fails_by_name(
+        run_dir, tmp_path, capsys, stage_args, message, output):
+    # unchecked, both read base.ckpt and exited 0, even for a missing --ckpt
+    config_path, out = run_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    shutil.rmtree(run / output, ignore_errors=True)
+    capsys.readouterr()
+    assert cli.main([stage_args[0], "--config", str(config_path),
+                     "--out", str(run), *stage_args[1:],
+                     "--ckpt", str(tmp_path / "missing.ckpt")]) == 1
+    assert message.format(run / "base.ckpt") in capsys.readouterr().err
+    assert not (run / output).exists()
+
+
 def test_sweep_gamma_writes_grid(run_dir):
     config_path, out = run_dir
     assert cli.main(["sweep", "--config", str(config_path), "--out", str(out),

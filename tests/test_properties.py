@@ -1,6 +1,10 @@
 """Property tests: each batched path equals its one-at-a-time form over
 drawn batches, to the bit, or within 1e-12 relative where the images go
-through one batched projection (the profile is set in conftest)."""
+through one batched projection; a checkpoint round trip returns what was
+saved (the profile is set in conftest)."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given
@@ -93,3 +97,30 @@ def test_teacher_forced_rows_equal_one_sequence_calls(case, use_extras,
         else:
             assert rows.tobytes() == want.tobytes()
             assert rows is shared.setdefault((src, tgt), rows)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(),
+       st.sets(st.sampled_from(PARAMS.extra_names())))
+def test_checkpoint_round_trip_keeps_names_bytes_and_flags(
+        seed, base_frozen, frozen_extras):
+    params = m.build_model(TINY, seed=0)
+    m.randomize_extras(params, seed=seed)
+    if base_frozen:
+        params.freeze_base()
+    else:
+        params.unfreeze_base()
+    for name in frozen_extras:
+        params.tensors[name].requires_grad = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        m.save_checkpoint(path, params, meta={"seed": seed})
+        back, meta = m.load_checkpoint(path)
+    assert meta == {"seed": seed}
+    assert back.config == params.config
+    assert list(back.tensors) == list(params.tensors)
+    assert back.is_extra == params.is_extra
+    for name, t in params.tensors.items():
+        got = back.tensors[name]
+        assert got.data.shape == t.data.shape, name
+        assert got.data.tobytes() == t.data.tobytes(), name
+        assert got.requires_grad == t.requires_grad, name

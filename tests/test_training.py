@@ -3,6 +3,7 @@ enforcement, batching, checkpoint selection, and the log format."""
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -323,6 +324,25 @@ def test_training_divergence_stops_before_the_update(
         tr.train(_mini_train_config(), data, mini_base)
     assert len(losses) == 3
     assert len(calls) == 2
+
+
+def test_no_step_graph_survives_into_the_next_forward(
+        mini_world, mini_base, monkeypatch):
+    # the caller's loop still holds step k's loss tensors when step k+1's
+    # forward runs; backward has freed everything below them
+    _, splits = mini_world
+    refs = []
+
+    def watched(*args, _loss=tr.obj.adaptation_loss, **kwargs):
+        assert all(ref() is None for ref in refs)
+        total, vmlm, anchor = _loss(*args, **kwargs)
+        interior = [p for p in vmlm._parents if p._backward is not None]
+        refs.append(weakref.ref(interior[0]))
+        return total, vmlm, anchor
+
+    monkeypatch.setattr(tr.obj, "adaptation_loss", watched)
+    tr.train(_mini_train_config(max_steps=3), _mini_data(splits), mini_base)
+    assert len(refs) == 3
 
 
 def test_clone_params_is_independent(mini_base):
