@@ -1,11 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Small op surface, just enough for a toy transformer: matmul, elementwise
-arithmetic, ReLU/exp/log, stable softmax / log-softmax, layer norm,
-embedding lookup, concatenation, gather. Everything is float64 and fully
-deterministic: two identical forward+backward passes produce bit-identical
-numbers. ``backward`` consumes the graph it walks: interior nodes are freed
-as their gradients pass, and only leaves keep ``.grad``.
+Small op surface, just enough for a toy transformer: primitives (matmul,
+elementwise arithmetic, ReLU/exp/log, stable softmax / log-softmax,
+reshape, transpose, embedding lookup, concatenation, gather) and one node
+per layer (``linear``, ``mlp``, multi-head ``attention``, ``layer_norm``).
+``linear``, ``mlp`` and ``attention`` run the numpy calls of the primitive
+chains they replace, in the same order, so their numbers are those chains'
+bit for bit, but each keeps only the arrays its backward reads.
+Everything is float64 and fully deterministic: two identical
+forward+backward passes produce bit-identical numbers. ``backward``
+consumes the graph it walks: interior nodes are freed as their gradients
+pass, and only leaves keep ``.grad``.
 """
 
 from __future__ import annotations
@@ -177,9 +182,10 @@ def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes; the leading (batch) axes
     broadcast as in numpy.
 
-    A 2-D weight ``b`` serves any number of leading axes of ``a``. In
-    attention, queries for n hypotheses read one batch-1 encoding the same
-    way. Backward sums each gradient back to its operand's shape.
+    A 2-D weight ``b`` serves any number of leading axes of ``a``, and a
+    batch-1 operand serves a batch of n. Backward sums each gradient back
+    to its operand's shape. The layer nodes below route their gradients
+    exactly as chains of this primitive do.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -209,11 +215,120 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), bwd)
 
 
-def linear(x, w, b=None) -> Tensor:
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
+    """``x @ w + b`` for a 2-D ``w``, the bias added in place to the product."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op}: {x.shape} @ {w.shape} + {b.shape} does not fit")
+    out = np.matmul(x, w)
+    out += b
     return out
+
+
+def _affine_grads(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray,
+                  need_x: bool) -> np.ndarray | None:
+    """Give ``w`` and ``b`` their gradients of ``x @ w + b``, routed as
+    ``add(matmul(x, w), b)`` routes them; return that of ``x`` if asked."""
+    if b.requires_grad:
+        _accumulate(b, _unbroadcast(g, b.shape))
+    if w.requires_grad:
+        _accumulate(w, np.matmul(x.reshape(-1, x.shape[-1]).T,
+                                 g.reshape(-1, g.shape[-1])))
+    if not need_x:
+        return None
+    return _unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), x.shape)
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node, bit for bit ``add(matmul(x, w), b)``
+    with a 2-D weight and a bias of its width; no pre-bias array is kept."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    data = _affine(x.data, w.data, b.data, "linear")
+
+    def bwd(g):
+        gx = _affine_grads(x.data, w, b, g, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx)
+
+    return _make(data, (x, w, b), bwd)
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` as one node, bit for bit the chain
+    ``linear``, ``relu``, ``linear``; it keeps only the hidden activation."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    hidden = _affine(x.data, w1.data, b1.data, "mlp")
+    np.maximum(hidden, 0.0, out=hidden)
+    data = _affine(hidden, w2.data, b2.data, "mlp")
+
+    def bwd(g):
+        below = x.requires_grad or w1.requires_grad or b1.requires_grad
+        gh = _affine_grads(hidden, w2, b2, g, below)
+        if not below:
+            return
+        # relu's subgradient: hidden > 0 exactly where its input was
+        gx = _affine_grads(x.data, w1, b1, gh * (hidden > 0.0), x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx)
+
+    return _make(data, (x, w1, b1, w2, b2), bwd)
+
+
+def attention(q, k, v, mask: np.ndarray, n_heads: int
+              ) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention as one node, bit for bit the
+    chain of reshape, transpose, matmul, scale, add, softmax, matmul,
+    transpose and reshape it replaces.
+
+    ``q`` is (B, Sq, d); ``k`` and ``v`` are (B, Sk, d), or (1, Sk, d) to
+    serve all B query rows. ``mask`` is additive, broadcastable to
+    (B, n_heads, Sq, Sk), -inf on the keys a query may not read. Returns
+    the merged heads (B, Sq, d) and the probabilities (B, n_heads, Sq, Sk),
+    the one array the node keeps beside its inputs.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    bq, sq, d = q.shape
+    if d % n_heads or k.shape[2:] != (d,) or v.shape != k.shape \
+            or k.shape[0] not in (1, bq):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"with {n_heads} heads")
+    dh = d // n_heads
+    s = float(1.0 / np.sqrt(dh))
+
+    def split_heads(t: np.ndarray) -> np.ndarray:
+        return t.reshape(t.shape[:2] + (n_heads, dh)).transpose(0, 2, 1, 3)
+
+    qh, vh = split_heads(q.data), split_heads(v.data)
+    kt = split_heads(k.data).transpose(0, 1, 3, 2)
+    probs = np.matmul(qh, kt)
+    probs *= s
+    probs += mask
+    probs -= np.max(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = np.matmul(probs, vh)
+    data = out.transpose(0, 2, 1, 3).reshape(bq, sq, d)
+
+    def merge_heads(gh: np.ndarray, shape) -> np.ndarray:
+        return gh.transpose(0, 2, 1, 3).reshape(shape)
+
+    def bwd(g):
+        go = g.reshape((bq, sq, n_heads, dh)).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            gv = _unbroadcast(np.matmul(np.swapaxes(probs, -1, -2), go), vh.shape)
+            _accumulate(v, merge_heads(gv, v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gp = np.matmul(go, np.swapaxes(vh, -1, -2))
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * s
+        if q.requires_grad:
+            gq = _unbroadcast(np.matmul(gs, np.swapaxes(kt, -1, -2)), qh.shape)
+            _accumulate(q, merge_heads(gq, q.shape))
+        if k.requires_grad:
+            gk = _unbroadcast(np.matmul(np.swapaxes(qh, -1, -2), gs), kt.shape)
+            _accumulate(k, merge_heads(gk.transpose(0, 1, 3, 2), k.shape))
+
+    return _make(data, (q, k, v), bwd), probs
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +412,22 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs features {x.shape[-1]}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # each mean is sum / n, which is what np.mean computes
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = gain.data * xhat + bias.data
+    xhat = centered * inv
+    data = gain.data * xhat
+    data += bias.data
 
     def bwd(g):
         if x.requires_grad:
             gg = g * gain.data
             _accumulate(x, inv * (
                 gg
-                - gg.mean(axis=-1, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+                - gg.sum(axis=-1, keepdims=True) / n
+                - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / n)
             ))
         axes = tuple(range(g.ndim - 1))
         if gain.requires_grad:

@@ -254,53 +254,32 @@ def _causal_mask(t: int) -> np.ndarray:
     return m[None, None, :, :]
 
 
-def _multi_head_attention(
-    params: ModelParams,
-    prefix: str,
-    x_q: Tensor,
-    x_kv: Tensor,
-    key_valid: np.ndarray,
-    causal: bool = False,
-    attn_sink: dict | None = None,
-) -> Tensor:
+def _multi_head_attention(params: ModelParams, prefix: str, x_q: Tensor,
+                          x_kv: Tensor, mask: np.ndarray,
+                          attn_sink: dict | None = None) -> Tensor:
+    """One attention sublayer: q, k and v projections, ``ad.attention``
+    under the additive ``mask``, and the output projection. A batch-1
+    ``x_kv`` broadcasts over the rows of ``x_q``."""
     p = params.tensors
-    cfg = params.config
-    h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-    bq, sq = x_q.shape[0], x_q.shape[1]
-
-    def split_heads(t: Tensor) -> Tensor:
-        # each operand keeps its own batch: a batch-1 x_kv broadcasts over x_q
-        return ad.transpose(ad.reshape(t, t.shape[:2] + (h, dh)), (0, 2, 1, 3))
-
-    q = split_heads(ad.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
-    k = split_heads(ad.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
-    v = split_heads(ad.linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
-
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    mask = _additive_mask(key_valid)
-    if causal:
-        mask = mask + _causal_mask(sq)
-    probs = ad.softmax(ad.add(scores, mask), axis=-1)
+    q = ad.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    k = ad.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+    v = ad.linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    out, probs = ad.attention(q, k, v, mask, params.config.n_heads)
     if attn_sink is not None:
-        attn_sink[prefix] = probs.data
-    out = ad.matmul(probs, v)
-    out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (bq, sq, cfg.d_model))
+        attn_sink[prefix] = probs
     return ad.linear(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def _adapter(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     p = params.tensors
-    hidden = ad.relu(ad.linear(x, p[f"{prefix}.down_w"], p[f"{prefix}.down_b"]))
-    return ad.add(x, ad.linear(hidden, p[f"{prefix}.up_w"], p[f"{prefix}.up_b"]))
+    return ad.add(x, ad.mlp(x, p[f"{prefix}.down_w"], p[f"{prefix}.down_b"],
+                            p[f"{prefix}.up_w"], p[f"{prefix}.up_b"]))
 
 
 def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     p = params.tensors
-    return ad.linear(
-        ad.relu(ad.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])),
-        p[f"{prefix}.w2"],
-        p[f"{prefix}.b2"],
-    )
+    return ad.mlp(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"],
+                  p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def _ln(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
@@ -348,10 +327,11 @@ def encode_batch(
         self_valid = np.concatenate([col_true, src_valid], axis=1)
         text_valid = np.concatenate([col_false, src_valid], axis=1)
 
+    self_mask = _additive_mask(self_valid)
     for l in range(cfg.n_layers_enc):
         normed = _ln(params, f"enc{l}.ln1", x)
         h = _multi_head_attention(
-            params, f"enc{l}.attn", normed, normed, self_valid,
+            params, f"enc{l}.attn", normed, normed, self_mask,
             attn_sink=attn_sink,
         )
         if use_extras:
@@ -382,10 +362,12 @@ def decoder_logits(
 
     y = ad.embedding(p["embed"], tgt_in)
     y = ad.add(y, ad.embedding(p["pos_embed"], np.arange(t)))
+    self_mask = _additive_mask(tgt_valid) + _causal_mask(t)
+    cross_mask = _additive_mask(enc.text_valid)
     for l in range(cfg.n_layers_dec):
         normed = _ln(params, f"dec{l}.ln1", y)
         h = _multi_head_attention(
-            params, f"dec{l}.self", normed, normed, tgt_valid, causal=True,
+            params, f"dec{l}.self", normed, normed, self_mask,
             attn_sink=attn_sink,
         )
         if use_extras:
@@ -393,7 +375,7 @@ def decoder_logits(
         y = ad.add(y, h)
         h = _multi_head_attention(
             params, f"dec{l}.cross", _ln(params, f"dec{l}.ln2", y),
-            enc.states, enc.text_valid, attn_sink=attn_sink,
+            enc.states, cross_mask, attn_sink=attn_sink,
         )
         if use_extras:
             h = _adapter(params, f"dec{l}.cross_adapter", h)

@@ -245,6 +245,213 @@ def test_grad_check_composite_chain():
 
 
 # ---------------------------------------------------------------------------
+# layer nodes: linear, attention and mlp against the primitive chains they
+# replace (forward data and every input's gradient byte-equal), and finite
+# differences on every input
+
+
+def _ref_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def _ref_mlp(x, w1, b1, w2, b2):
+    return _ref_linear(ad.relu(_ref_linear(x, w1, b1)), w2, b2)
+
+
+def _ref_attention(q, k, v, mask, n_heads):
+    bq, sq, d = q.shape
+    dh = d // n_heads
+
+    def heads(t):
+        return ad.transpose(ad.reshape(t, t.shape[:2] + (n_heads, dh)),
+                            (0, 2, 1, 3))
+
+    scores = ad.scale(ad.matmul(heads(q), ad.transpose(heads(k), (0, 1, 3, 2))),
+                      1.0 / np.sqrt(dh))
+    probs = ad.softmax(ad.add(scores, mask), axis=-1)
+    out = ad.transpose(ad.matmul(probs, heads(v)), (0, 2, 1, 3))
+    return ad.reshape(out, (bq, sq, d)), probs.data
+
+
+def _key_mask(valid):
+    return m._additive_mask(np.asarray(valid, dtype=bool))
+
+
+def _node_and_chain_agree(build, arrays, trainable):
+    """Run ``build`` as the node and as its chain on fresh leaves made from
+    ``arrays`` (those named in ``trainable`` require grad), backpropagate
+    one random functional of the output, and compare bytes."""
+    results = []
+    for as_node in (True, False):
+        leaves = {n: Tensor(a.copy(), requires_grad=n in trainable)
+                  for n, a in arrays.items()}
+        out = build(as_node, leaves)
+        up = np.random.default_rng(0).standard_normal(out.shape)
+        ad.backward(ad.tsum(ad.mul(out, up)))
+        results.append((out.data.tobytes(),
+                        {n: None if t.grad is None else t.grad.tobytes()
+                         for n, t in leaves.items()}))
+    (node_out, node_grads), (ref_out, ref_grads) = results
+    assert node_out == ref_out
+    assert node_grads == ref_grads
+    assert all((node_grads[n] is None) == (n not in trainable) for n in arrays)
+
+
+def _draw(seed, **shapes):
+    rng = np.random.default_rng(seed)
+    return {n: rng.standard_normal(s) for n, s in shapes.items()}
+
+
+@pytest.mark.parametrize("trainable", [("x", "w", "b"), ("w", "b"), ("x",)])
+def test_linear_node_is_add_of_matmul(trainable):
+    arrays = _draw(40, x=(3, 4, 5), w=(5, 6), b=(6,))
+
+    def build(as_node, t):
+        f = ad.linear if as_node else _ref_linear
+        return f(t["x"], t["w"], t["b"])
+
+    _node_and_chain_agree(build, arrays, trainable)
+
+
+@pytest.mark.parametrize("trainable", [
+    ("x", "w1", "b1", "w2", "b2"), ("w1", "b1", "w2", "b2"), ("x",), ("w2",)])
+def test_mlp_node_is_linear_relu_linear(trainable):
+    arrays = _draw(41, x=(3, 4, 5), w1=(5, 7), b1=(7,), w2=(7, 5), b2=(5,))
+
+    def build(as_node, t):
+        f = ad.mlp if as_node else _ref_mlp
+        return f(t["x"], t["w1"], t["b1"], t["w2"], t["b2"])
+
+    _node_and_chain_agree(build, arrays, trainable)
+
+
+SELF_ATTENTION = dict(x=(3, 5, 6), wq=(6, 6), wk=(6, 6), wv=(6, 6), b=(6,))
+SELF_MASKS = {
+    "none": np.zeros((1, 1, 1, 5)),
+    "padding": _key_mask([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]]),
+    "causal+padding": (_key_mask([[1, 1, 1, 1, 1], [1, 1, 1, 1, 0],
+                                  [1, 1, 0, 0, 0]]) + m._causal_mask(5)),
+}
+
+
+@pytest.mark.parametrize("mask", sorted(SELF_MASKS))
+@pytest.mark.parametrize("trainable", [("x", "wq", "wk", "wv", "b"), ("wk",)])
+def test_self_attention_node_is_its_chain(mask, trainable):
+    """q, k and v are linears of one input, whose gradient sums the three
+    paths in the order the parents (q, k, v) fix."""
+    arrays = _draw(42, **SELF_ATTENTION)
+
+    def build(as_node, t):
+        x, b = t["x"], t["b"]
+        q, k, v = (ad.linear(x, t[w], b) for w in ("wq", "wk", "wv"))
+        f = ad.attention if as_node else _ref_attention
+        return f(q, k, v, SELF_MASKS[mask], 2)[0]
+
+    _node_and_chain_agree(build, arrays, trainable)
+
+
+@pytest.mark.parametrize("trainable", [("q", "kv"), ("q",), ("kv",)])
+def test_cross_attention_node_broadcasts_one_encoding(trainable):
+    """A batch-1 k/v serves 4 query rows; a frozen side gets no gradient."""
+    arrays = _draw(43, q=(4, 3, 6), kv=(1, 5, 6), wk=(6, 6), wv=(6, 6),
+                   b=(6,))
+    mask = _key_mask([[0, 1, 1, 1, 0]])
+
+    def build(as_node, t):
+        k = ad.linear(t["kv"], t["wk"], t["b"])
+        v = ad.linear(t["kv"], t["wv"], t["b"])
+        f = ad.attention if as_node else _ref_attention
+        out, probs = f(t["q"], k, v, mask, 3)
+        assert probs.shape == (4, 3, 3, 5)
+        assert np.array_equal(probs[..., [0, 4]], np.zeros((4, 3, 3, 2)))
+        return out
+
+    _node_and_chain_agree(build, arrays, trainable)
+
+
+def test_attention_returns_the_chain_probabilities():
+    a = _draw(44, q=(2, 4, 6), k=(2, 4, 6), v=(2, 4, 6))
+    mask = SELF_MASKS["causal+padding"][:2, :, :4, :4]
+    q, k, v = (Tensor(a[n]) for n in "qkv")
+    _, probs = ad.attention(q, k, v, mask, 2)
+    _, want = _ref_attention(q, k, v, mask, 2)
+    assert probs.tobytes() == want.tobytes()
+
+
+def test_layer_node_shape_errors():
+    with pytest.raises(ShapeError, match="linear"):
+        ad.linear(np.ones((2, 3)), np.ones((4, 5)), np.zeros(5))
+    with pytest.raises(ShapeError, match="mlp"):
+        ad.mlp(np.ones((2, 3)), np.ones((3, 4)), np.zeros(3), np.ones((4, 3)),
+               np.zeros(3))
+    with pytest.raises(ShapeError, match="attention"):
+        ad.attention(np.ones((2, 3, 6)), np.ones((3, 3, 6)), np.ones((3, 3, 6)),
+                     np.zeros((1, 1, 1, 3)), 2)
+
+
+def test_grad_check_linear_every_input():
+    a = _draw(45, x=(2, 3, 4), w=(4, 5), b=(5,))
+    x, w, b = (Tensor(a[n]) for n in "xwb")
+    assert ad.grad_check(lambda t: ad.linear(t, w, b), a["x"]) < GRAD_TOL
+    assert ad.grad_check(lambda t: ad.linear(x, t, b), a["w"]) < GRAD_TOL
+    assert ad.grad_check(lambda t: ad.linear(x, w, t), a["b"]) < GRAD_TOL
+
+
+def test_grad_check_mlp_every_input():
+    a = _draw(46, x=(2, 3, 4), w1=(4, 6), b1=(6,), w2=(6, 4), b2=(4,))
+    names = ("x", "w1", "b1", "w2", "b2")
+    # finite differences of 1e-4 never cross the ReLU kink from here
+    pre = a["x"] @ a["w1"] + a["b1"]
+    assert np.abs(pre).min() > 0.05
+
+    for i, name in enumerate(names):
+        def f(t, i=i):
+            args = [Tensor(a[n]) for n in names]
+            args[i] = t
+            return ad.mlp(*args)
+
+        assert ad.grad_check(f, a[name]) < GRAD_TOL, name
+
+
+@pytest.mark.parametrize("shapes,mask", [
+    (dict(q=(3, 5, 6), k=(3, 5, 6), v=(3, 5, 6)),
+     SELF_MASKS["causal+padding"]),
+    (dict(q=(4, 3, 6), k=(1, 5, 6), v=(1, 5, 6)), _key_mask([[0, 1, 1, 1, 0]])),
+])
+def test_grad_check_attention_every_input(shapes, mask):
+    a = _draw(47, **shapes)
+    for i, name in enumerate("qkv"):
+        def f(t, i=i):
+            args = [Tensor(a[n]) for n in "qkv"]
+            args[i] = t
+            return ad.attention(*args, mask, 3)[0]
+
+        assert ad.grad_check(f, a[name]) < GRAD_TOL, name
+
+
+def test_layer_norm_means_are_numpy_means():
+    """layer_norm takes each mean as sum / n: to the bit what np.mean
+    gives, at a width that is not a power of two."""
+    a = _draw(48, x=(32, 9, 48), g=(48,), b=(48,))
+    x, gain, bias = (Tensor(a[n], requires_grad=True) for n in "xgb")
+    out = ad.layer_norm(x, gain, bias)
+    up = np.random.default_rng(1).standard_normal(out.shape)
+    ad.backward(ad.tsum(ad.mul(out, up)))
+
+    mu = a["x"].mean(axis=-1, keepdims=True)
+    var = ((a["x"] - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (a["x"] - mu) * inv
+    assert out.data.tobytes() == (a["g"] * xhat + a["b"]).tobytes()
+    gg = up * a["g"]
+    gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+    assert x.grad.tobytes() == gx.tobytes()
+    assert gain.grad.tobytes() == (up * xhat).sum(axis=(0, 1)).tobytes()
+    assert bias.grad.tobytes() == up.sum(axis=(0, 1)).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # backward mechanics
 
 

@@ -1,13 +1,13 @@
 """Property tests: each batched path equals its one-at-a-time form over
 drawn batches, to the bit, or within 1e-12 relative where the images go
-through one batched projection; a checkpoint round trip returns what was
-saved (the profile is set in conftest)."""
+through one batched projection or sums run over padded keys; a checkpoint
+round trip returns what was saved (the profile is set in conftest)."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import TINY
@@ -97,6 +97,33 @@ def test_teacher_forced_rows_equal_one_sequence_calls(case, use_extras,
         else:
             assert rows.tobytes() == want.tobytes()
             assert rows is shared.setdefault((src, tgt), rows)
+
+
+long_words = st.lists(st.integers(4, VOCAB - 1), min_size=1,
+                      max_size=MAX_LEN - 1)
+
+
+@given(st.lists(st.tuples(long_words, long_words), min_size=2, max_size=2),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_padding_leaves_teacher_forced_logits_alone(pairs, seed, use_extras):
+    """Two triples of different lengths in one padded forward: each one's
+    rows match its forward alone. The masks keep padded keys out, but the
+    softmax and weighted sums still run over them, which regroups float
+    sums, so the match is within 1e-12 of the logit scale, not bitwise."""
+    assume(len({(len(x), len(y)) for x, y in pairs}) == 2)
+    srcs = [tuple(x) for x, _ in pairs]
+    tgts = [(m.BOS, *y, m.EOS) for _, y in pairs]
+    images = list(np.random.default_rng(seed).standard_normal(
+        (2, TINY.image_dim)))
+    with ad.no_grad():
+        both = m.teacher_forced_logits(PARAMS, srcs, images, tgts,
+                                       use_extras=use_extras).data
+        for b in range(2):
+            alone = m.teacher_forced_logits(
+                PARAMS, [srcs[b]], [images[b]], [tgts[b]],
+                use_extras=use_extras).data[0]
+            rows = both[b, :len(tgts[b]) - 1]
+            assert np.abs(rows - alone).max() <= 1e-12 * np.abs(alone).max()
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(),
