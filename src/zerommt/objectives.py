@@ -10,13 +10,18 @@ can confirm), so the image is free to pick among them.
 The KL term anchors the multimodal model's next-token distributions to the
 frozen base model's, computed on the unmasked source. Both reduce to a
 mean over target tokens so the mixing weight transfers across lengths.
-``adaptation_loss`` composes them for every training mode, the ablations
-included.
+``adaptation_terms`` yields the weighted terms of every training mode, the
+ablations included, one forward at a time: the two terms share no interior
+node, so a caller that backpropagates each term before asking for the next
+holds one term's graph at a time, and its leaves receive the same
+gradients, in the same order, as from one backward of the sum.
+``adaptation_loss`` sums the same terms into one tensor.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,21 +129,19 @@ def _weighted_token_mean(per_token: Tensor, weights: np.ndarray) -> Tensor:
     return ad.scale(ad.tsum(ad.mul(per_token, weights)), 1.0 / weights.sum())
 
 
-def _accept_mask(
-    examples: list[BatchExample], tgt_out: np.ndarray, vocab: int
-) -> np.ndarray | None:
+def _accept_mask(examples: list[BatchExample], vocab: int) -> np.ndarray | None:
     """(B, T, V) 0/1 array of the tokens accepted at each target position:
     the example's set where it has one, else the gold token. Padding rows
     accept the whole vocabulary (their weight is zero). None when no
     example in the batch has sets."""
     if all(ex.accept is None for ex in examples):
         return None
-    b, t = tgt_out.shape
-    accept = np.zeros((b, t, vocab))
+    accept = np.zeros((len(examples), max(len(ex.tgt) for ex in examples) - 1,
+                       vocab))
     for k, ex in enumerate(examples):
         rows = len(ex.tgt) - 1
         if ex.accept is None:
-            accept[k, np.arange(rows), tgt_out[k, :rows]] = 1.0
+            accept[k, np.arange(rows), ex.tgt[1:]] = 1.0
         else:
             accept[k, :rows] = ex.accept
         accept[k, rows:] = 1.0
@@ -168,12 +171,18 @@ def accepted_tokens(
     return base_lp >= gold_lp[:, None] + np.log(ratio)
 
 
-def vmlm_loss(batch: Batch, params: ModelParams) -> Tensor:
+def vmlm_loss(
+    batch: Batch, params: ModelParams, accept: np.ndarray | None = None
+) -> Tensor:
     """Mean over target tokens of -log p(y_j | y_<j, masked source, image),
-    with p(y_j) the mass on the accepted set where an example has one."""
+    with p(y_j) the mass on the accepted set where an example has one.
+
+    ``accept`` is the batch's accepted-set mask (see ``_accept_mask``),
+    built here when not given."""
     lp, tgt_out, w = _teacher_forced(batch.examples, params, masked=True,
                                      multimodal=True)
-    accept = _accept_mask(batch.examples, tgt_out, params.config.vocab_size)
+    if accept is None:
+        accept = _accept_mask(batch.examples, params.config.vocab_size)
     return _nll(lp, tgt_out, w, accept)
 
 
@@ -227,6 +236,7 @@ def kl_penalty(
     batch: Batch,
     params: ModelParams,
     base_lp: list[np.ndarray] | None = None,
+    accept: np.ndarray | None = None,
 ) -> Tensor:
     """KL(base || multimodal) per teacher-forced position, summed over the
     vocabulary, token-mean.
@@ -241,13 +251,16 @@ def kl_penalty(
     mass on the set, and on every token outside it, to the base's, but
     leaves free how the model splits that mass among translations the base
     itself finds plausible. That split is what the image decides.
+
+    ``accept`` is the batch's accepted-set mask, built here when not given.
     """
     lp, tgt_out, w = _teacher_forced(batch.examples, params, masked=False,
                                      multimodal=True)
     p_lp = ad.clip_min(lp, np.log(PROB_FLOOR))
     q_lp = _padded_base_logprobs(params, batch.examples, tgt_out.shape[1], base_lp)
     q = np.exp(q_lp)
-    accept = _accept_mask(batch.examples, tgt_out, q.shape[-1])
+    if accept is None:
+        accept = _accept_mask(batch.examples, params.config.vocab_size)
     # a set of several tokens is one outcome: its tokens leave the sum and
     # the set's total mass enters it
     merged = 0.0 if accept is None else (
@@ -266,6 +279,37 @@ def kl_penalty(
     return _weighted_token_mean(per_pos, w)
 
 
+def adaptation_terms(
+    batch: Batch,
+    params: ModelParams,
+    mode: str,
+    lam: float,
+    base_lp: list[np.ndarray] | None = None,
+) -> Iterator[tuple[str, Tensor, Tensor]]:
+    """The terms of ``mode``'s objective (see ``ADAPTATION_MODES``), one
+    forward at a time: ``("vmlm", vmlm, vmlm)`` where the masked-source
+    term is on, then ``("anchor", anchor, lam * anchor)`` where an anchor
+    is. The objective is the sum of the weighted terms, in this order.
+
+    A generator: a term's forward runs only when it is asked for, so a
+    caller that backpropagates each weighted term first never holds two
+    terms' graphs. The accepted-set mask is built once for both terms.
+    """
+    if mode not in ADAPTATION_MODES:
+        raise ValueError(f"unknown adaptation mode {mode!r}")
+    if not math.isfinite(lam) or lam < 0:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    vmlm_on, anchor_kind = ADAPTATION_MODES[mode]
+    accept = _accept_mask(batch.examples, params.config.vocab_size)
+    if vmlm_on:
+        vmlm = vmlm_loss(batch, params, accept=accept)
+        yield "vmlm", vmlm, vmlm
+    if anchor_kind is not None:
+        anchor = (kl_penalty(batch, params, base_lp=base_lp, accept=accept)
+                  if anchor_kind == "kl" else mmt_loss(batch, params))
+        yield "anchor", anchor, ad.scale(anchor, lam)
+
+
 def adaptation_loss(
     batch: Batch,
     params: ModelParams,
@@ -273,22 +317,14 @@ def adaptation_loss(
     lam: float,
     base_lp: list[np.ndarray] | None = None,
 ) -> tuple[Tensor, Tensor | None, Tensor | None]:
-    """The training objective of ``mode`` (see ``ADAPTATION_MODES``):
-    vmlm + lam * anchor, lam * anchor without the masked-source term, or
-    vmlm alone without an anchor. Returned with both parts, None where a
-    part is off."""
-    if mode not in ADAPTATION_MODES:
-        raise ValueError(f"unknown adaptation mode {mode!r}")
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
-    vmlm_on, anchor_kind = ADAPTATION_MODES[mode]
-    vmlm = vmlm_loss(batch, params) if vmlm_on else None
-    if anchor_kind == "kl":
-        anchor = kl_penalty(batch, params, base_lp=base_lp)
-    elif anchor_kind == "nll":
-        anchor = mmt_loss(batch, params)
-    else:
-        return vmlm, vmlm, None
-    weighted = ad.scale(anchor, lam)
-    total = weighted if vmlm is None else ad.add(vmlm, weighted)
-    return total, vmlm, anchor
+    """The objective of ``mode`` as one tensor: the sum of the weighted
+    ``adaptation_terms``, returned with both unweighted parts, None where a
+    part is off. Its graph holds both terms at once; training
+    backpropagates them one at a time instead."""
+    total = None
+    parts: dict[str, Tensor] = {}
+    for name, term, weighted in adaptation_terms(batch, params, mode, lam,
+                                                 base_lp):
+        parts[name] = term
+        total = weighted if total is None else ad.add(total, weighted)
+    return total, parts.get("vmlm"), parts.get("anchor")

@@ -157,34 +157,50 @@ def _batches(n: int, batch_size: int, steps: int, rng: np.random.Generator):
             produced += 1
 
 
+def _backpropagate_terms(terms) -> tuple[float, dict[str, float]]:
+    """Backpropagate each ``(name, term, weighted)`` of ``terms`` (see
+    ``objectives.adaptation_terms``) before asking for the next, so a lazy
+    ``terms`` starts the next forward only after ``ad.backward`` has
+    consumed the previous graph. Leaves sum the terms' gradients in term
+    order, as one backward of the sum would. Returns the weighted floats
+    summed in term order, and each term's float by name.
+    """
+    total = None
+    values = {}
+    for name, term, weighted in terms:
+        ad.backward(weighted)
+        values[name] = float(term.data)
+        w = float(weighted.data)
+        total = w if total is None else total + w
+    return total, values
+
+
 def _descend(params: ModelParams, config, n: int, rng: np.random.Generator,
-             loss_of, stage: str):
+             terms_of, stage: str):
     """Adam descent over shuffled batches of ``n`` examples, yielding
-    ``(step, values)`` after each update. ``loss_of(idxs)`` returns the
-    losses of one batch of example indices, the total first, and None for
-    a term that is off; ``values`` holds them as floats. ``ad.backward``
-    consumes the step's graph, so the loss tensors still held here keep
-    only their values through the next forward. A non-finite total raises
-    naming ``stage`` and the step.
+    ``(step, total, values)`` after each update.
+
+    ``terms_of(idxs)`` returns the terms of one batch's objective, which
+    ``_backpropagate_terms`` consumes, so a step holds one term's graph at a
+    time and no step's graph survives into the next forward. A non-finite
+    total raises naming ``stage`` and the step, before the update.
 
     ``train``'s source masks draw from the same ``rng`` as ``_batches``, so
-    ``loss_of`` must run between batch draws: that order is part of
+    ``terms_of`` must run between batch draws: that order is part of
     ``train_log.csv``'s bytes.
     """
     state = AdamState()
     for step, idxs in enumerate(
         _batches(n, min(config.batch_size, n), config.max_steps, rng), start=1
     ):
-        losses = loss_of(idxs)
-        if not np.isfinite(losses[0].data):
-            raise RuntimeError(
-                f"{stage} diverged at step {step}: loss={losses[0].data}")
-        ad.backward(losses[0])
+        total, values = _backpropagate_terms(terms_of(idxs))
+        if not math.isfinite(total):
+            raise RuntimeError(f"{stage} diverged at step {step}: loss={total}")
         grads = {name: t.grad for name, t in params.tensors.items()
                  if t.requires_grad and t.grad is not None}
         adam_step(params, grads, state, config.lr)
         params.zero_grads()
-        yield step, [None if x is None else float(x.data) for x in losses]
+        yield step, total, values
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +219,15 @@ def pretrain_base(
     params = m.build_model(model_config, seed=config.seed)
     params.unfreeze_base()
 
-    def loss_of(idxs):
-        return (obj.text_nll(Batch([
+    def terms_of(idxs):
+        nll = obj.text_nll(Batch([
             BatchExample(src=parallel_corpus[k].src, tgt=parallel_corpus[k].tgt)
             for k in idxs
-        ]), params),)
+        ]), params)
+        return [("nll", nll, nll)]
 
     for _ in _descend(params, config, len(parallel_corpus),
-                      np.random.default_rng([config.seed, 17]), loss_of,
+                      np.random.default_rng([config.seed, 17]), terms_of,
                       "pretraining"):
         pass
     params.freeze_base()
@@ -257,24 +274,24 @@ def train(
         ex.accept = obj.accepted_tokens(lp, ex.tgt, obj.ACCEPT_RATIO)
     rng = np.random.default_rng([config.seed, 29])
 
-    def loss_of(idxs):
+    def terms_of(idxs):
         batch = [
             BatchExample(src=ex.src, tgt=ex.tgt, image=ex.image, accept=ex.accept,
                          mask_set=m.apply_source_mask(ex.src, config.mask_rate, rng))
             for ex in (batch_examples[k] for k in idxs)
         ]
-        return obj.adaptation_loss(Batch(batch), params, config.mode, config.lam,
-                                   base_lp=[base_cache[k] for k in idxs])
+        return obj.adaptation_terms(Batch(batch), params, config.mode, config.lam,
+                                    base_lp=[base_cache[k] for k in idxs])
 
     log_rows: list[dict] = []
     checkpoints: list[Checkpoint] = []
-    for step, (total, vmlm, anchor) in _descend(
-        params, config, len(batch_examples), rng, loss_of, "training"
+    for step, total, values in _descend(
+        params, config, len(batch_examples), rng, terms_of, "training"
     ):
         row = {
             "step": step,
-            "vmlm": 0.0 if vmlm is None else vmlm,
-            "kl": 0.0 if anchor is None else anchor,
+            "vmlm": values.get("vmlm", 0.0),
+            "kl": values.get("anchor", 0.0),
             "total": total,
             "val_contrastive": "",
             "val_bleu": "",

@@ -227,6 +227,26 @@ def test_adaptation_loss_is_exact_composition(tiny_params):
         assert got == parts, mode
 
 
+def test_adaptation_terms_build_the_accept_mask_once(tiny_params, monkeypatch):
+    m.randomize_extras(tiny_params, seed=36)
+    ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=37, mask_set=(1,))
+    ex.accept = _accept(ex.tgt, tiny_params.config.vocab_size, extra=[(1, 4)])
+    calls = []
+
+    def counting(*args, _mask=obj._accept_mask):
+        calls.append(1)
+        return _mask(*args)
+
+    monkeypatch.setattr(obj, "_accept_mask", counting)
+    for mode in obj.ADAPTATION_MODES:
+        calls.clear()
+        terms = list(obj.adaptation_terms(Batch([ex]), tiny_params, mode, 0.5))
+        assert len(calls) == 1, mode
+        assert [name for name, _, _ in terms] == [
+            name for name, on in zip(("vmlm", "anchor"),
+                                     obj.ADAPTATION_MODES[mode]) if on], mode
+
+
 def test_gradients_reach_only_extras(tiny_params):
     m.randomize_extras(tiny_params, seed=23)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=24, mask_set=(0,))

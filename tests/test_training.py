@@ -1,4 +1,5 @@
-"""Optimizer correctness against a scalar Adam oracle, freezing
+"""Optimizer correctness against a scalar Adam oracle, term-by-term
+backward against one backward of the summed objective, freezing
 enforcement, batching, checkpoint selection, and the log format."""
 
 import dataclasses
@@ -10,8 +11,10 @@ import pytest
 
 from zerommt import autodiff as ad
 from zerommt import model as m
+from zerommt import objectives as obj
 from zerommt import synthcorpus as sc
 from zerommt import training as tr
+from zerommt.objectives import Batch, BatchExample
 from zerommt.training import (
     AdamState,
     Checkpoint,
@@ -178,6 +181,76 @@ def test_log_rows_to_csv_layout():
 
 
 # ---------------------------------------------------------------------------
+# term-by-term backward
+
+
+def _term_batch(params):
+    """Two examples of different lengths with mask sets; the first accepts
+    several tokens at two target positions."""
+    v, dim = params.config.vocab_size, params.config.image_dim
+    rng = np.random.default_rng(40)
+    ex1 = BatchExample(src=[5, 6, 7], tgt=[m.BOS, 8, 9, m.EOS],
+                       image=rng.standard_normal(dim), mask_set=(1,))
+    ex1.accept = np.zeros((3, v), dtype=bool)
+    ex1.accept[np.arange(3), ex1.tgt[1:]] = True
+    ex1.accept[0, 10] = ex1.accept[1, 4] = ex1.accept[1, 12] = True
+    ex2 = BatchExample(src=[11, 12], tgt=[m.BOS, 13, m.EOS],
+                       image=rng.standard_normal(dim), mask_set=(0,))
+    return Batch([ex1, ex2])
+
+
+def _summed(batch, params, mode, lam):
+    """vmlm + lam * anchor of ``mode`` composed into one tensor from the
+    loss functions, with its parts."""
+    vmlm_on, anchor_kind = obj.ADAPTATION_MODES[mode]
+    vmlm = obj.vmlm_loss(batch, params) if vmlm_on else None
+    anchor = None if anchor_kind is None else {
+        "kl": obj.kl_penalty, "nll": obj.mmt_loss}[anchor_kind](batch, params)
+    if anchor is None:
+        return vmlm, vmlm, None
+    weighted = ad.scale(anchor, lam)
+    return (weighted if vmlm is None else ad.add(vmlm, weighted)), vmlm, anchor
+
+
+@pytest.mark.parametrize("base", ["frozen", "unfrozen"])
+@pytest.mark.parametrize("mode", tr.TRAIN_MODES)
+def test_term_by_term_backward_matches_one_backward_of_the_sum(
+        tiny_params, mode, base):
+    m.randomize_extras(tiny_params, seed=41)
+    if base == "unfrozen":
+        tiny_params.unfreeze_base()
+    batch = _term_batch(tiny_params)
+
+    def taken_grads():
+        out = {n: None if t.grad is None else t.grad.tobytes()
+               for n, t in tiny_params.tensors.items()}
+        tiny_params.zero_grads()
+        return out
+
+    def hexed(*values):
+        return [None if v is None else float(v).hex() for v in values]
+
+    total, vmlm, anchor = _summed(batch, tiny_params, mode, 0.7)
+    ad.backward(total)
+    want = taken_grads()
+    assert all(want[n] is not None for n in tiny_params.trainable_names())
+    want_values = hexed(total.data, None if vmlm is None else vmlm.data,
+                        None if anchor is None else anchor.data)
+
+    got_total, values = tr._backpropagate_terms(
+        obj.adaptation_terms(batch, tiny_params, mode, 0.7))
+    assert taken_grads() == want
+    assert hexed(got_total, values.get("vmlm"), values.get("anchor")) \
+        == want_values
+
+    total, vmlm, anchor = obj.adaptation_loss(batch, tiny_params, mode, 0.7)
+    ad.backward(total)
+    assert taken_grads() == want
+    assert hexed(total.data, None if vmlm is None else vmlm.data,
+                 None if anchor is None else anchor.data) == want_values
+
+
+# ---------------------------------------------------------------------------
 # end-to-end on a miniature world
 
 
@@ -304,20 +377,26 @@ def test_pretraining_divergence_names_the_step(mini_world):
                          PretrainConfig(lr=1e150, max_steps=10, batch_size=8))
 
 
+def _nan_at_call(monkeypatch, name, k):
+    """Patch ``objectives.<name>`` so that its ``k``-th call returns NaN
+    through the tape; returns the list of its calls."""
+    calls = []
+
+    def patched(*args, _loss=getattr(tr.obj, name), **kwargs):
+        loss = _loss(*args, **kwargs)
+        calls.append(loss)
+        return ad.scale(loss, math.nan) if len(calls) == k else loss
+
+    monkeypatch.setattr(tr.obj, name, patched)
+    return calls
+
+
 def test_training_divergence_stops_before_the_update(
         mini_world, mini_base, monkeypatch):
+    # the anchor, the last term of a full-mode step, is NaN at step 3
     _, splits = mini_world
     data = _mini_data(splits)
-    losses = []
-
-    def nan_at_step_3(*args, _loss=tr.obj.adaptation_loss, **kwargs):
-        total, vmlm, anchor = _loss(*args, **kwargs)
-        losses.append(total)
-        if len(losses) == 3:
-            total = ad.scale(total, math.nan)
-        return total, vmlm, anchor
-
-    monkeypatch.setattr(tr.obj, "adaptation_loss", nan_at_step_3)
+    losses = _nan_at_call(monkeypatch, "kl_penalty", 3)
     calls = _counting_adam(monkeypatch)
     with np.errstate(all="ignore"), pytest.raises(
             RuntimeError, match="training diverged at step 3: loss=nan"):
@@ -326,23 +405,93 @@ def test_training_divergence_stops_before_the_update(
     assert len(calls) == 2
 
 
-def test_no_step_graph_survives_into_the_next_forward(
+def test_training_divergence_in_the_first_term_stops_before_the_update(
         mini_world, mini_base, monkeypatch):
-    # the caller's loop still holds step k's loss tensors when step k+1's
-    # forward runs; backward has freed everything below them
+    # the VMLM term is NaN at step 3: its backward has run when the total
+    # is checked, yet the extras keep the bytes of step 2's update
     _, splits = mini_world
+    losses = _nan_at_call(monkeypatch, "vmlm_loss", 3)
+    updated = []
+
+    def recording(params, grads, state, lr, _step=tr.adam_step):
+        _step(params, grads, state, lr)
+        updated.append((params, params.copy_extras()))
+
+    monkeypatch.setattr(tr, "adam_step", recording)
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match="training diverged at step 3: loss=nan"):
+        tr.train(_mini_train_config(), _mini_data(splits), mini_base)
+    assert len(losses) == 3
+    assert len(updated) == 2
+    params, after_step_2 = updated[-1]
+    for name, data in after_step_2.items():
+        assert params.tensors[name].data.tobytes() == data.tobytes(), name
+
+
+def _interior_nodes(root):
+    """Every recorded node below ``root``, the root itself excluded."""
+    out, seen, stack = [], set(), list(root._parents)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        stack.extend(node._parents)
+    return out
+
+
+def _watch_vmlm_graph(monkeypatch):
+    """Patch ``objectives.vmlm_loss`` to keep a weak reference to every
+    interior node of each VMLM graph, taken before its backward."""
     refs = []
 
-    def watched(*args, _loss=tr.obj.adaptation_loss, **kwargs):
-        assert all(ref() is None for ref in refs)
-        total, vmlm, anchor = _loss(*args, **kwargs)
-        interior = [p for p in vmlm._parents if p._backward is not None]
-        refs.append(weakref.ref(interior[0]))
-        return total, vmlm, anchor
+    def watched(*args, _loss=tr.obj.vmlm_loss, **kwargs):
+        vmlm = _loss(*args, **kwargs)
+        refs.append([weakref.ref(node) for node in _interior_nodes(vmlm)])
+        return vmlm
 
-    monkeypatch.setattr(tr.obj, "adaptation_loss", watched)
+    monkeypatch.setattr(tr.obj, "vmlm_loss", watched)
+    return refs
+
+
+def test_no_step_graph_survives_into_the_next_forward(
+        mini_world, mini_base, monkeypatch):
+    # the caller's loop still holds step k's loss values when step k+1's
+    # forward runs; backward has freed everything below them
+    _, splits = mini_world
+    refs = _watch_vmlm_graph(monkeypatch)
+
+    def watched(*args, _loss=tr.obj.vmlm_loss, **kwargs):
+        assert all(ref() is None for step in refs for ref in step)
+        return _loss(*args, **kwargs)
+
+    monkeypatch.setattr(tr.obj, "vmlm_loss", watched)
     tr.train(_mini_train_config(max_steps=3), _mini_data(splits), mini_base)
     assert len(refs) == 3
+    assert all(refs)
+
+
+@pytest.mark.parametrize("mode, anchor", [("full", "kl_penalty"),
+                                          ("mmt_no_kl", "mmt_loss")])
+def test_vmlm_graph_is_freed_before_the_anchor_forward(
+        mini_world, mini_base, monkeypatch, mode, anchor):
+    # a step backpropagates each term as soon as its forward ends, so it
+    # never holds both terms' graphs
+    _, splits = mini_world
+    refs = _watch_vmlm_graph(monkeypatch)
+    anchors = []
+
+    def watched(*args, _loss=getattr(tr.obj, anchor), **kwargs):
+        assert all(ref() is None for ref in refs[-1])
+        anchors.append(1)
+        return _loss(*args, **kwargs)
+
+    monkeypatch.setattr(tr.obj, anchor, watched)
+    tr.train(_mini_train_config(max_steps=3, mode=mode), _mini_data(splits),
+             mini_base)
+    assert len(anchors) == len(refs) == 3
+    assert all(refs)
 
 
 def test_clone_params_is_independent(mini_base):
