@@ -94,25 +94,26 @@ def beam_search_steps(
     live: list[Hypothesis] = [Hypothesis(tokens=(), logp=0.0)]
     done: list[Hypothesis] = []
     for _ in range(max_len):
-        candidates: list[Hypothesis] = []
         probs = step_fn([(m.BOS,) + hyp.tokens for hyp in live])
-        for hyp, row in zip(live, probs):
-            logs = np.log(np.maximum(row, PROB_FLOOR))
-            for tok in range(len(row)):
-                if tok in forbidden:
-                    continue
-                candidates.append(
-                    Hypothesis(hyp.tokens + (tok,), hyp.logp + float(logs[tok]))
-                )
-        candidates.sort(key=lambda h: (-h.logp, h.tokens))
-        live = []
-        for cand in candidates[: width]:
-            if cand.tokens[-1] == eos_id:
-                done.append(
-                    Hypothesis(cand.tokens[:-1], cand.logp, finished=True)
-                )
+        allowed = np.array([t for t in range(probs.shape[-1])
+                            if t not in forbidden], dtype=np.int64)
+        # every (live hypothesis, allowed token) candidate's score, row-major
+        scores = (np.array([h.logp for h in live])[:, None]
+                  + np.log(np.maximum(probs, PROB_FLOOR)))[:, allowed].ravel()
+        # the live token tuples share one length, so ordering candidates by
+        # (-score, parent's rank in token order, token) is ordering them by
+        # (-logp, tokens)
+        rank = np.argsort(sorted(range(len(live)), key=lambda i: live[i].tokens))
+        chosen = np.lexsort((np.tile(allowed, len(live)),
+                             np.repeat(rank, len(allowed)), -scores))[:width]
+        parents, live = live, []
+        for j in chosen:
+            row, col = divmod(int(j), len(allowed))
+            tokens, token = parents[row].tokens, int(allowed[col])
+            if token == eos_id:
+                done.append(Hypothesis(tokens, float(scores[j]), finished=True))
             else:
-                live.append(cand)
+                live.append(Hypothesis(tokens + (token,), float(scores[j])))
         if not live:
             break
         if done:

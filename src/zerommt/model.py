@@ -10,6 +10,7 @@ positions, never the visual one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from collections.abc import Sequence
@@ -27,7 +28,7 @@ SPECIAL_TOKENS = {"pad": PAD, "bos": BOS, "eos": EOS, "mask": MASK}
 IMAGE_REQUIRED = "every sequence needs an image with the extras on"
 
 CHECKPOINT_MAGIC = b"ZMMT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -388,19 +389,37 @@ def decoder_logits(
     return ad.linear(y, p["head_w"], p["head_b"])
 
 
+def _float_images(images, use_extras: bool) -> list[np.ndarray] | None:
+    """``images`` as float64 arrays with the extras on, where a missing one
+    raises ``IMAGE_REQUIRED``; None with them off, where they are never
+    read."""
+    if not use_extras:
+        return None
+    if images is None or any(i is None for i in images):
+        raise ValueError(IMAGE_REQUIRED)
+    return [np.asarray(i, dtype=np.float64) for i in images]
+
+
+def _padded_batch(srcs, images, tgts, use_extras: bool):
+    """The arrays of a teacher-forced forward: ``srcs`` padded with their
+    mask, the images stacked as float64 (``_float_images``; None with the
+    extras off) and the BOS-led ``tgts`` but their last tokens, padded with
+    their mask."""
+    floats = _float_images(images, use_extras)
+    src_ids, src_valid = pad_batch(srcs)
+    tgt_in, tgt_valid = pad_batch([t[:-1] for t in tgts])
+    stacked = None if floats is None else np.stack(floats)
+    return src_ids, src_valid, stacked, tgt_in, tgt_valid
+
+
 def teacher_forced_logits(params: ModelParams, srcs, images, tgts,
                           use_extras: bool = True) -> Tensor:
     """The one teacher-forced forward of a (source, image, target) batch:
     logits (B, T, V) after each BOS-led target's tokens but its last, with
     sources and targets right-padded. With the extras off ``images`` is
     never read and may be None."""
-    src_ids, src_valid = pad_batch(srcs)
-    tgt_in, tgt_valid = pad_batch([t[:-1] for t in tgts])
-    stacked = None
-    if use_extras:
-        if images is None or any(i is None for i in images):
-            raise ValueError(IMAGE_REQUIRED)
-        stacked = np.stack([np.asarray(i, dtype=np.float64) for i in images])
+    src_ids, src_valid, stacked, tgt_in, tgt_valid = _padded_batch(
+        srcs, images, tgts, use_extras)
     enc = encode_batch(params, src_ids, src_valid, stacked, use_extras=use_extras)
     return decoder_logits(params, enc, tgt_in, tgt_valid, use_extras=use_extras)
 
@@ -409,12 +428,21 @@ def teacher_forced_rows(params: ModelParams, srcs, images, tgts,
                         use_extras: bool, normalize) -> list[np.ndarray]:
     """``normalize`` (``ad.softmax`` or ``ad.log_softmax``) of the
     teacher-forced logits, tape-free: one (len(tgt) - 1, V) array per
-    sequence, in input order. One ``teacher_forced_logits`` call per (source
-    length, target length) leaves no padding; with the extras off, each
-    distinct (source, target) is computed once and matches its forward alone
-    bit for bit."""
-    keys = [k if use_extras else (tuple(x), tuple(y))
-            for k, (x, y) in enumerate(zip(srcs, tgts))]
+    sequence, in input order.
+
+    One forward per (source length, target length) leaves no padding. It
+    encodes each distinct encoder input of the bucket once (the source,
+    plus its image's bytes with the extras on) and every target reads its
+    input's states by index. numpy computes each batch item apart, so the
+    rows equal the unshared forward of the bucket bit for bit, except that
+    a bucket of one distinct image projects it as a one-row product. With
+    the extras off, each distinct (source, target) is decoded once and
+    matches its forward alone bit for bit."""
+    floats = _float_images(images, use_extras)
+    inputs = [tuple(x) if floats is None else (tuple(x), floats[k].tobytes())
+              for k, x in enumerate(srcs)]
+    keys = [k if use_extras else (inputs[k], tuple(y))
+            for k, y in enumerate(tgts)]
     # (source length, target length) -> {key: index of its first sequence}
     buckets: dict[tuple[int, int], dict] = {}
     for k, key in enumerate(keys):
@@ -422,11 +450,23 @@ def teacher_forced_rows(params: ModelParams, srcs, images, tgts,
     rows = {}
     with ad.no_grad():
         for firsts in buckets.values():
-            idx = list(firsts.values())
-            logits = teacher_forced_logits(
-                params, [srcs[k] for k in idx],
-                None if images is None else [images[k] for k in idx],
-                [tgts[k] for k in idx], use_extras=use_extras)
+            seqs = list(firsts.values())
+            # encoder input -> (its row in the encoding, its first sequence)
+            encoded: dict = {}
+            reads = [encoded.setdefault(inputs[k], (len(encoded), k))[0]
+                     for k in seqs]
+            firsts_in = [k for _, k in encoded.values()]
+            src_ids, src_valid, stacked, tgt_in, tgt_valid = _padded_batch(
+                [srcs[k] for k in firsts_in],
+                None if floats is None else [floats[k] for k in firsts_in],
+                [tgts[k] for k in seqs], use_extras)
+            states = encode_batch(params, src_ids, src_valid, stacked,
+                                  use_extras=use_extras)
+            # target b reads its input's encoding, gathered off the tape
+            shared = EncoderStates(Tensor(states.states.data[reads]),
+                                   states.text_valid[reads])
+            logits = decoder_logits(params, shared, tgt_in, tgt_valid,
+                                    use_extras=use_extras)
             rows.update(zip(firsts, normalize(logits, axis=-1).data))
     return [rows[key] for key in keys]
 
@@ -501,7 +541,8 @@ def apply_source_mask(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, JSON header, raw little-endian float64
+# checkpoint format: magic, version, JSON header, raw little-endian float64;
+# the header holds the sha256 of that payload
 
 
 def reject_unknown_keys(cls, obj: dict, message: str) -> None:
@@ -514,6 +555,12 @@ def reject_unknown_keys(cls, obj: dict, message: str) -> None:
 
 def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None:
     names = list(params.tensors)
+    # the payload in file order, hashed and written without a joined copy
+    payload = [np.ascontiguousarray(params.tensors[n].data, dtype="<f8")
+               for n in names]
+    digest = hashlib.sha256()
+    for arr in payload:
+        digest.update(arr)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
@@ -527,19 +574,21 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
             }
             for n in names
         ],
+        "payload_sha256": digest.hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for n in names:
-            fh.write(params.tensors[n].data.astype("<f8").tobytes())
+        for arr in payload:
+            fh.write(arr)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a ``save_checkpoint`` file; a malformed one raises ValueError
-    naming ``path`` and, where it applies, the tensor or config key."""
+    naming ``path`` and, where it applies, the tensor or config key, and
+    one whose tensor bytes do not hash to the header's sha256 raises too."""
     with open(path, "rb") as fh:
 
         def read(n: int, what: str) -> bytes:
@@ -561,12 +610,18 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         config = ModelConfig(**header["config"])
         tensors: dict[str, Tensor] = {}
         is_extra: dict[str, bool] = {}
+        digest = hashlib.sha256()
         for entry in header["tensors"]:
             name, shape = entry["name"], tuple(entry["shape"])
             raw = read(8 * int(np.prod(shape)), f"tensor {name!r}")
+            digest.update(raw)
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
             tensors[name] = Tensor(arr, requires_grad=not entry["frozen"])
             is_extra[name] = entry["extra"]
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
+        if digest.hexdigest() != header.get("payload_sha256"):
+            raise ValueError(f"{path}: payload sha256 mismatch (header "
+                             f"{header.get('payload_sha256')}, payload "
+                             f"{digest.hexdigest()})")
     return ModelParams(config=config, tensors=tensors, is_extra=is_extra), header["meta"]

@@ -207,6 +207,12 @@ def generate_world(spec: WorldSpec, vocab_budget: int = 64) -> World:
     )
 
 
+def _draw(pool: list[int], rng: np.random.Generator) -> int:
+    """One uniform draw from ``pool``: the bounded draw that
+    ``rng.choice(pool)`` makes, without turning the list into an array."""
+    return pool[int(rng.integers(len(pool)))]
+
+
 def _sample_example(
     world: World,
     ex_id: int,
@@ -218,13 +224,13 @@ def _sample_example(
     spec = world.spec
     pool = world.caption_plain_src if caption_domain else world.plain_src
     n = int(rng.integers(spec.sent_len_min, spec.sent_len_max + 1))
-    src = [int(rng.choice(pool)) for _ in range(n)]
+    src = [_draw(pool, rng) for _ in range(n)]
     word = sense = None
     has_cue = False
     # generate_splits admits only worlds with ambiguous words
     if not forbid_ambiguous and rng.random() < spec.ambiguity_rate:
         pos = int(rng.integers(n))
-        word = int(rng.choice(world.amb_src))
+        word = _draw(world.amb_src, rng)
         sense = int(rng.integers(2))
         src[pos] = word
         if rng.random() < spec.context_cue_rate:
@@ -245,9 +251,9 @@ def _sample_contrastive(
 ) -> ContrastiveInstance:
     spec = world.spec
     n = int(rng.integers(spec.sent_len_min, spec.sent_len_max + 1))
-    src = [int(rng.choice(world.plain_src)) for _ in range(n)]
+    src = [_draw(world.plain_src, rng) for _ in range(n)]
     pos = int(rng.integers(n))
-    word = int(rng.choice(world.amb_src))
+    word = _draw(world.amb_src, rng)
     src[pos] = word
     return ContrastiveInstance(
         id=ex_id,

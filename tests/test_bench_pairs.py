@@ -1,0 +1,50 @@
+"""The summary of ``scripts/bench_pairs.py`` on fixed numbers (the paired
+runs themselves need two checkouts and minutes, so they are not run
+here)."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+
+import bench_pairs as bp  # noqa: E402
+
+METRICS = [{"name": "items_per_s", "better": "higher"},
+           {"name": "peak_rss_mb", "better": "lower"},
+           {"name": "setup_s", "better": "lower"}]
+
+
+def _runs(**columns):
+    n = len(next(iter(columns.values())))
+    return [{k: {"value": v[i]} for k, v in columns.items()} for i in range(n)]
+
+
+def test_quartiles_inclusive_and_single_value():
+    assert bp.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bp.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_summary_counts_wins_in_each_metrics_direction():
+    parent = _runs(items_per_s=[100.0, 110.0, 90.0, 105.0, 95.0],
+                   peak_rss_mb=[60.0, 61.0, 59.0, 60.0, 60.5])
+    change = _runs(items_per_s=[120.0, 100.0, 115.0, 125.0, 118.0],
+                   peak_rss_mb=[60.0, 60.0, 61.0, 60.5, 60.5])
+    rows = {r["metric"]: r for r in bp.summarize(parent, change, METRICS)}
+    # setup_s is in no run, so it has no row
+    assert set(rows) == {"items_per_s", "peak_rss_mb"}
+    ips = rows["items_per_s"]
+    assert ips["parent"] == (95.0, 100.0, 105.0)
+    assert ips["change"] == (115.0, 118.0, 120.0)
+    assert ips["wins"] == 4 and ips["pairs"] == 5
+    assert ips["ratio"] == 1.18
+    assert ips["gap_exceeds_iqr"]  # 18 > 105 - 95
+    rss = rows["peak_rss_mb"]
+    # lower is better: only pair 2 (60 < 61) is a win; a tie is not
+    assert rss["wins"] == 1
+    assert rss["parent"] == (60.0, 60.0, 60.5)
+    assert rss["change"][1] == 60.5
+    assert not rss["gap_exceeds_iqr"]  # the gap 0.5 equals the IQR
+    table = bp.format_rows(list(rows.values()))
+    assert "| items_per_s | higher | 100 [95, 105] | 118 [115, 120] | 1.180 " \
+           "| 4/5 | yes |" in table
+    assert "peak_rss_mb change: 60 60 61 60.5 60.5" in table.splitlines()

@@ -1,10 +1,13 @@
 """Guidance blend identities against hand-computed values, and beam search
-against exhaustive enumeration."""
+against exhaustive enumeration and against its one-candidate-at-a-time
+form."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zerommt import decoding as dec
 from zerommt import model as m
@@ -192,6 +195,69 @@ def test_beam_returns_unfinished_when_eos_unreachable():
     hyp = dec.beam_search_steps(_batched(step), width=1, max_len=4)
     assert not hyp.finished
     assert hyp.tokens == (5, 5, 5, 5)
+
+
+def _loop_beam_search_steps(step_fn, width, max_len, eos_id=m.EOS,
+                            forbidden=(m.PAD, m.BOS, m.MASK)):
+    """The reference selection: one Hypothesis per (live hypothesis, token)
+    candidate, all sorted by (-logp, tokens) in Python."""
+    live = [Hypothesis(tokens=(), logp=0.0)]
+    done = []
+    for _ in range(max_len):
+        candidates = []
+        probs = step_fn([(m.BOS,) + hyp.tokens for hyp in live])
+        for hyp, row in zip(live, probs):
+            logs = np.log(np.maximum(row, dec.PROB_FLOOR))
+            for tok in range(len(row)):
+                if tok in forbidden:
+                    continue
+                candidates.append(
+                    Hypothesis(hyp.tokens + (tok,), hyp.logp + float(logs[tok])))
+        candidates.sort(key=lambda h: (-h.logp, h.tokens))
+        live = []
+        for cand in candidates[:width]:
+            if cand.tokens[-1] == eos_id:
+                done.append(Hypothesis(cand.tokens[:-1], cand.logp, finished=True))
+            else:
+                live.append(cand)
+        if not live:
+            break
+        if done and max(h.logp for h in done) >= live[0].logp:
+            break
+    pool = done if done else live
+    pool.sort(key=lambda h: (-h.logp, h.tokens))
+    return pool[0]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9), st.integers(1, 6),
+       st.integers(1, 5), st.sets(st.integers(0, 8), max_size=2),
+       st.integers(1, 4))
+# cases where tied candidates of different parents straddle the width cut,
+# so ranking parents by beam order instead of token order picks wrongly
+@example(58, 6, 2, 3, set(), 4)
+@example(124, 9, 5, 5, set(), 4)
+@example(206, 6, 6, 4, set(), 2)
+def test_vectorised_selection_equals_candidate_loop(seed, vocab, width,
+                                                    max_len, forbidden, levels):
+    """Rows drawn from ``levels`` powers of two repeat the same log terms
+    under different parents, so candidates of different parents tie exactly
+    (addition commutes) and the token-order tie-break decides."""
+    forbidden = tuple(sorted(forbidden))
+    values = 2.0 ** -np.arange(1, levels + 1)
+
+    def row(prefix):
+        rng = np.random.default_rng([seed, len(prefix), *prefix])
+        p = rng.choice(values, size=vocab)
+        p[rng.random(vocab) < 0.2] = 0.0
+        return p
+
+    got = dec.beam_search_steps(_batched(row), width, max_len, eos_id=2,
+                                forbidden=forbidden)
+    want = _loop_beam_search_steps(_batched(row), width, max_len, eos_id=2,
+                                   forbidden=forbidden)
+    assert got.tokens == want.tokens
+    assert got.logp.hex() == want.logp.hex()
+    assert got.finished == want.finished
 
 
 def test_beam_rejects_bad_width():

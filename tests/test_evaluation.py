@@ -343,11 +343,8 @@ def test_batched_scorers_match_batch_one_reference(tiny_params):
             assert _max_relative_error(g, w) < 1e-12
 
 
-def test_text_only_scorer_scores_each_pair_once(tiny_params, monkeypatch):
-    # the same (src, tgt) under two images goes through one forward row, so
-    # both get the same floats and the text-only base sits at exactly 50%
-    m.randomize_extras(tiny_params, seed=19)
-    srcs, images, tgts = _mixed_length_set(tiny_params.config, 64, seed=20)
+def _count_encoded_rows(monkeypatch):
+    """Record the batch of every ``model.encode_batch`` call."""
     encoded = []
     encode_batch = m.encode_batch
 
@@ -356,12 +353,58 @@ def test_text_only_scorer_scores_each_pair_once(tiny_params, monkeypatch):
         return encode_batch(params, src_ids, *args, **kwargs)
 
     monkeypatch.setattr(m, "encode_batch", counting)
+    return encoded
+
+
+def test_text_only_scorer_scores_each_pair_once(tiny_params, monkeypatch):
+    # the same (src, tgt) under two images goes through one forward row, so
+    # both get the same floats and the text-only base sits at exactly 50%;
+    # a source is encoded once per target length, whatever its targets
+    m.randomize_extras(tiny_params, seed=19)
+    srcs, images, tgts = _mixed_length_set(tiny_params.config, 64, seed=20)
+    # 16 sources again, each under another target of its target's length
+    srcs += srcs[:16]
+    images += images[:16]
+    tgts += [(m.BOS,) + (5,) * (len(y) - 2) + (m.EOS,) for y in tgts[:16]]
+    encoded = _count_encoded_rows(monkeypatch)
     flipped = [-i for i in images]
     got = ev.TextOnlyScorer(tiny_params).distributions(
         srcs + srcs[::-1], images + flipped[::-1], tgts + tgts[::-1])
-    assert sum(encoded) == len(set(zip(srcs, tgts)))
+    assert sum(encoded) == len({(x, len(y)) for x, y in zip(srcs, tgts)})
+    assert sum(encoded) < len(set(zip(srcs, tgts)))
     for a, b in zip(got[: len(srcs)], got[len(srcs):][::-1]):
         assert a is b
+
+
+@pytest.mark.parametrize("use_extras", [True, False])
+def test_each_bucket_encodes_its_distinct_inputs_once(tiny_params,
+                                                      monkeypatch, use_extras):
+    """One encoder row per distinct input of each (source length, target
+    length) bucket: the source, plus its image's bytes with the extras on."""
+    m.randomize_extras(tiny_params, seed=23)
+    rng = np.random.default_rng(24)
+    words = np.arange(4, tiny_params.config.vocab_size)
+    instances = []
+    for k in range(12):
+        src = [int(t) for t in rng.choice(words, rng.integers(1, 4))]
+        instances.append(ContrastiveInstance(
+            id=k, src=src, img_a=rng.standard_normal(4),
+            tgt_a=[m.BOS, *src, m.EOS], img_b=rng.standard_normal(4),
+            tgt_b=[m.BOS, *src[::-1], m.EOS]))
+    instances += instances[:3]  # repeated instances share their inputs too
+    encoded = _count_encoded_rows(monkeypatch)
+    scorer = ev.MultimodalScorer(tiny_params) if use_extras \
+        else ev.TextOnlyScorer(tiny_params)
+    ev.commute_rows(scorer, instances)
+    # commute_rows' sequences: per orientation, its image under both targets
+    inputs = {}
+    for inst in instances:
+        for img in (inst.img_a, inst.img_a, inst.img_b, inst.img_b):
+            key = (tuple(inst.src), img.tobytes()) if use_extras \
+                else tuple(inst.src)
+            inputs.setdefault((len(inst.src), len(inst.tgt_a)), set()).add(key)
+    assert encoded == [len(keys) for keys in inputs.values()]
+    assert sum(encoded) == (24 if use_extras else 12)
 
 
 def test_vectorised_cfg_distribution_equals_row_loop_bytewise():

@@ -294,7 +294,12 @@ def _with_config_key(key):
     (lambda raw: raw + b"\x00", "trailing bytes after the last tensor"),
     (_with_config_key("visual_positional_encoding"),
      "unknown model config keys ['visual_positional_encoding']"),
-], ids=["cut_header", "cut_payload", "trailing_bytes", "unknown_config_key"])
+    (lambda raw: raw[:-4] + bytes([raw[-4] ^ 1]) + raw[-3:],
+     "payload sha256 mismatch"),
+    (lambda raw: raw[:4] + struct.pack("<I", 1) + raw[8:],
+     "unsupported checkpoint version 1"),
+], ids=["cut_header", "cut_payload", "trailing_bytes", "unknown_config_key",
+        "flipped_payload_byte", "version_without_digest"])
 def test_checkpoint_rejects_malformed_file(tiny_params, tmp_path, corrupt,
                                            message):
     path = tmp_path / "model.ckpt"

@@ -1,7 +1,8 @@
 """Property tests: each batched path equals its one-at-a-time form over
 drawn batches, to the bit, or within 1e-12 relative where the images go
-through one batched projection or sums run over padded keys; a checkpoint
-round trip returns what was saved (the profile is set in conftest)."""
+through one batched projection or sums run over padded keys; shared
+encodings equal unshared forwards; a checkpoint round trip returns what
+was saved (the profile is set in conftest)."""
 
 import tempfile
 from pathlib import Path
@@ -97,6 +98,66 @@ def test_teacher_forced_rows_equal_one_sequence_calls(case, use_extras,
         else:
             assert rows.tobytes() == want.tobytes()
             assert rows is shared.setdefault((src, tgt), rows)
+
+
+@st.composite
+def shared_inputs(draw):
+    """(source, image, target) triples whose (source, image) inputs repeat
+    under 1-3 targets of one length. Sources and images come from small
+    pools, so inputs also share a source or an image with other inputs."""
+    sources = draw(st.lists(words, min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = list(rng.standard_normal((3, TINY.image_dim)))
+    triples = []
+    for _ in range(draw(st.integers(1, 6))):
+        src = tuple(draw(st.sampled_from(sources)))
+        image = pool[draw(st.integers(0, 2))]
+        n_body = draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(1, 3))):
+            tail = draw(st.lists(st.integers(4, VOCAB - 1), min_size=n_body,
+                                 max_size=n_body))
+            triples.append((src, image, (m.BOS, *tail, m.EOS)))
+    triples = draw(st.permutations(triples))
+    return [list(column) for column in zip(*triples)]
+
+
+@given(shared_inputs(), st.booleans(),
+       st.sampled_from([ad.softmax, ad.log_softmax]))
+def test_shared_encodings_equal_unshared_forwards(case, use_extras, normalize):
+    """Each target reads its input's one encoding. With two or more distinct
+    images in a bucket, its rows equal the bucket's unshared forward bit for
+    bit; a bucket of one image projects it as a one-row product, which
+    rounds differently, so there the rows match one-sequence forwards within
+    1e-12. Text-only rows match one-sequence forwards bit for bit."""
+    srcs, images, tgts = case
+    got = m.teacher_forced_rows(PARAMS, srcs, images, tgts, use_extras,
+                                normalize)
+    buckets = {}
+    for k, (x, y) in enumerate(zip(srcs, tgts)):
+        buckets.setdefault((len(x), len(y)), []).append(k)
+    with ad.no_grad():
+        for seqs in buckets.values():
+            if not use_extras:
+                for k in seqs:
+                    alone = m.teacher_forced_logits(PARAMS, [srcs[k]], None,
+                                                    [tgts[k]], use_extras=False)
+                    want = normalize(alone, axis=-1).data[0]
+                    assert got[k].tobytes() == want.tobytes()
+                continue
+            if len({images[k].tobytes() for k in seqs}) >= 2:
+                logits = m.teacher_forced_logits(
+                    PARAMS, [srcs[k] for k in seqs], [images[k] for k in seqs],
+                    [tgts[k] for k in seqs])
+                want = normalize(logits, axis=-1).data
+                for k, w in zip(seqs, want):
+                    assert got[k].tobytes() == w.tobytes()
+                continue
+            for k in seqs:
+                alone = m.teacher_forced_logits(PARAMS, [srcs[k]], [images[k]],
+                                                [tgts[k]])
+                want = normalize(alone, axis=-1).data[0]
+                err = np.abs(got[k] - want).max(axis=-1) / np.abs(want).max(axis=-1)
+                assert err.max() < 1e-12
 
 
 long_words = st.lists(st.integers(4, VOCAB - 1), min_size=1,

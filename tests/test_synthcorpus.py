@@ -135,6 +135,18 @@ def test_generation_is_deterministic(world):
         assert np.array_equal(ia.img_a, ib.img_a)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5, 42, 2**31 + 7])
+def test_pool_draws_match_generator_choice(seed):
+    # generation draws list elements through one bounded integer draw; it
+    # must be the draw Generator.choice makes, or every split would change
+    pools = [[9], [4, 5], list(range(10, 17)), list(range(20, 61))]
+    via_integers = np.random.default_rng(seed)
+    via_choice = np.random.default_rng(seed)
+    for pool in pools * 25:
+        assert sc._draw(pool, via_integers) == int(via_choice.choice(pool))
+    assert via_integers.bit_generator.state == via_choice.bit_generator.state
+
+
 def test_examples_are_wellformed(world, splits):
     cue_ids = set(world.cue.values())
     for ex in splits.pretrain_parallel + splits.mmt_train:
