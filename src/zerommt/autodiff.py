@@ -6,11 +6,17 @@ reshape, transpose, embedding lookup, concatenation, gather) and one node
 per layer (``linear``, ``mlp``, multi-head ``attention``, ``layer_norm``).
 ``linear``, ``mlp`` and ``attention`` run the numpy calls of the primitive
 chains they replace, in the same order, so their numbers are those chains'
-bit for bit, but each keeps only the arrays its backward reads.
-Everything is float64 and fully deterministic: two identical
-forward+backward passes produce bit-identical numbers. ``backward``
-consumes the graph it walks: interior nodes are freed as their gradients
-pass, and only leaves keep ``.grad``.
+bit for bit.
+
+The tape holds gradient routes, not tensors. A recorded op output gets a
+small node (its gradient, its parents' nodes, its closure); a leaf is its
+own node. Each closure keeps only the arrays and shapes its own backward
+reads (None where no gradient needs an array), never a Tensor, so an
+activation no backward reads is freed as soon as the caller drops its
+tensor. Everything is float64 and fully deterministic: two
+identical forward+backward passes produce bit-identical numbers.
+``backward`` consumes the graph it walks: nodes are freed as their
+gradients pass, and only leaves keep ``.grad``.
 """
 
 from __future__ import annotations
@@ -29,28 +35,27 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A node in the (eager) differentiation tape.
+    """An array, and the node its gradient takes in the (eager) tape.
 
-    Leaves are created directly; op outputs carry backpointers to their
-    parents and a closure that routes the incoming gradient. Nodes whose
-    parents all have ``requires_grad=False``, and every node made inside
-    ``no_grad``, record nothing, so frozen-model and inference forwards
-    build no graph at all. A closure computes the gradient of only those
-    parents that require grad, so frozen weights cost no backward work.
-    ``backward`` consumes the graph: afterwards each interior node keeps
-    its ``data`` but no ``grad``, closure or parents, and only leaves
-    (tensors made directly, such as parameters) hold gradients.
+    A leaf (made directly, such as a parameter) is its own node: it has no
+    parents and no closure, and ``backward`` leaves its gradient in
+    ``.grad``. An op output records a ``_Node`` when one of its parents
+    requires grad and recording is on (outside ``no_grad``); otherwise it
+    records nothing, so frozen-model and inference forwards build no graph
+    at all. The node refers to no op output, so the tensor's array lives
+    only as long as the caller holds the tensor, unless a backward reads it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
+    # a leaf's route: no parents, no closure
+    _parents: tuple = ()
+    _backward = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,6 +67,21 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class _Node:
+    """The gradient route of one recorded op output: the gradient summed
+    into it so far, its parents' routes (a leaf tensor or a ``_Node``;
+    None for a parent that takes no gradient) and the closure that sends
+    the gradient on, called as ``_backward(grad, *_parents)``."""
+
+    __slots__ = ("grad", "_parents", "_backward", "__weakref__")
+    requires_grad = True
+
+    def __init__(self, parents: tuple, backward: Callable) -> None:
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward = backward
 
 
 def _as_tensor(x) -> Tensor:
@@ -89,20 +109,26 @@ def is_recording() -> bool:
     return _recording
 
 
+def _route(t: Tensor) -> Tensor | _Node | None:
+    """Where ``t``'s gradient goes: its node, the leaf itself, or None."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(tuple(_route(p) for p in parents), backward)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accumulate(node: Tensor | _Node | None, g: np.ndarray) -> None:
+    if node is None or not node.requires_grad:
         return
     # grads are only ever rebound (never mutated in place), so views are safe
-    t.grad = g if t.grad is None else t.grad + g
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -125,12 +151,13 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError as e:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from e
+    a_shape, b_shape = a.shape, b.shape
 
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+    def bwd(g, na, nb):
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, b_shape))
 
     return _make(data, (a, b), bwd)
 
@@ -142,8 +169,8 @@ def sub(a, b) -> Tensor:
 def neg(a) -> Tensor:
     a = _as_tensor(a)
 
-    def bwd(g):
-        _accumulate(a, -g)
+    def bwd(g, na):
+        _accumulate(na, -g)
 
     return _make(-a.data, (a,), bwd)
 
@@ -154,12 +181,15 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError as e:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from e
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+    def bwd(g, na, nb):
+        if na is not None:
+            _accumulate(na, _unbroadcast(g * b_data, a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g * a_data, b_shape))
 
     return _make(data, (a, b), bwd)
 
@@ -168,8 +198,8 @@ def scale(a, s: float) -> Tensor:
     a = _as_tensor(a)
     s = float(s)
 
-    def bwd(g):
-        _accumulate(a, g * s)
+    def bwd(g, na):
+        _accumulate(na, g * s)
 
     return _make(a.data * s, (a,), bwd)
 
@@ -197,20 +227,23 @@ def matmul(a, b) -> Tensor:
     except ValueError as e:
         raise ShapeError(
             f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}") from e
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(
-                np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if not b.requires_grad:
+    def bwd(g, na, nb):
+        if na is not None:
+            _accumulate(na, _unbroadcast(
+                np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
+        if nb is None:
             return
-        if b.ndim == 2:
+        if len(b_shape) == 2:
             gb = np.matmul(
-                a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1])
+                a_data.reshape(-1, a_shape[-1]).T, g.reshape(-1, g.shape[-1])
             )
         else:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        _accumulate(b, gb)
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)
+        _accumulate(nb, gb)
 
     return _make(data, (a, b), bwd)
 
@@ -225,51 +258,56 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
     return out
 
 
-def _affine_grads(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray,
-                  need_x: bool) -> np.ndarray | None:
-    """Give ``w`` and ``b`` their gradients of ``x @ w + b``, routed as
-    ``add(matmul(x, w), b)`` routes them; return that of ``x`` if asked."""
-    if b.requires_grad:
-        _accumulate(b, _unbroadcast(g, b.shape))
-    if w.requires_grad:
-        _accumulate(w, np.matmul(x.reshape(-1, x.shape[-1]).T,
-                                 g.reshape(-1, g.shape[-1])))
-    if not need_x:
+def _affine_grads(x: np.ndarray | None, w: np.ndarray | None, nw, nb,
+                  g: np.ndarray) -> np.ndarray | None:
+    """Give the routes ``nw`` and ``nb`` their gradients of ``x @ w + b``,
+    routed as ``add(matmul(x, w), b)`` routes them; return that of ``x``
+    when ``w`` is given. ``x`` is read only for ``nw``."""
+    if nb is not None:
+        _accumulate(nb, _unbroadcast(g, g.shape[-1:]))
+    if nw is not None:
+        _accumulate(nw, np.matmul(x.reshape(-1, x.shape[-1]).T,
+                                  g.reshape(-1, g.shape[-1])))
+    if w is None:
         return None
-    return _unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), x.shape)
+    return np.matmul(g, np.swapaxes(w, -1, -2))
 
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` as one node, bit for bit ``add(matmul(x, w), b)``
-    with a 2-D weight and a bias of its width; no pre-bias array is kept."""
+    with a 2-D weight and a bias of its width; it keeps ``x`` only for a
+    weight that takes a gradient, and no pre-bias array."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     data = _affine(x.data, w.data, b.data, "linear")
+    x_data = x.data if w.requires_grad else None
+    w_data = w.data if x.requires_grad else None
 
-    def bwd(g):
-        gx = _affine_grads(x.data, w, b, g, x.requires_grad)
-        if gx is not None:
-            _accumulate(x, gx)
+    def bwd(g, nx, nw, nb):
+        _accumulate(nx, _affine_grads(x_data, w_data, nw, nb, g))
 
     return _make(data, (x, w, b), bwd)
 
 
 def mlp(x, w1, b1, w2, b2) -> Tensor:
     """``relu(x @ w1 + b1) @ w2 + b2`` as one node, bit for bit the chain
-    ``linear``, ``relu``, ``linear``; it keeps only the hidden activation."""
+    ``linear``, ``relu``, ``linear``; it keeps the hidden activation, and
+    ``x`` only for a first weight that takes a gradient."""
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     hidden = _affine(x.data, w1.data, b1.data, "mlp")
     np.maximum(hidden, 0.0, out=hidden)
     data = _affine(hidden, w2.data, b2.data, "mlp")
+    x_data = x.data if w1.requires_grad else None
+    w1_data = w1.data if x.requires_grad else None
+    below = x.requires_grad or w1.requires_grad or b1.requires_grad
+    w2_data = w2.data if below else None
 
-    def bwd(g):
-        below = x.requires_grad or w1.requires_grad or b1.requires_grad
-        gh = _affine_grads(hidden, w2, b2, g, below)
-        if not below:
+    def bwd(g, nx, nw1, nb1, nw2, nb2):
+        gh = _affine_grads(hidden, w2_data, nw2, nb2, g)
+        if gh is None:
             return
         # relu's subgradient: hidden > 0 exactly where its input was
-        gx = _affine_grads(x.data, w1, b1, gh * (hidden > 0.0), x.requires_grad)
-        if gx is not None:
-            _accumulate(x, gx)
+        _accumulate(nx, _affine_grads(x_data, w1_data, nw1, nb1,
+                                      gh * (hidden > 0.0)))
 
     return _make(data, (x, w1, b1, w2, b2), bwd)
 
@@ -284,7 +322,8 @@ def attention(q, k, v, mask: np.ndarray, n_heads: int
     serve all B query rows. ``mask`` is additive, broadcastable to
     (B, n_heads, Sq, Sk), -inf on the keys a query may not read. Returns
     the merged heads (B, Sq, d) and the probabilities (B, n_heads, Sq, Sk),
-    the one array the node keeps beside its inputs.
+    which the node keeps, with the heads of ``q``, ``k`` and ``v`` only
+    where a gradient reads them.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     bq, sq, d = q.shape
@@ -308,25 +347,31 @@ def attention(q, k, v, mask: np.ndarray, n_heads: int
     probs /= probs.sum(axis=-1, keepdims=True)
     out = np.matmul(probs, vh)
     data = out.transpose(0, 2, 1, 3).reshape(bq, sq, d)
+    q_shape, kv_shape = q.shape, k.shape
+    qh_shape, kt_shape, vh_shape = qh.shape, kt.shape, vh.shape
+    # each head array stays only where a gradient reads it
+    vh = vh if q.requires_grad or k.requires_grad else None
+    qh = qh if k.requires_grad else None
+    kt = kt if q.requires_grad else None
 
     def merge_heads(gh: np.ndarray, shape) -> np.ndarray:
         return gh.transpose(0, 2, 1, 3).reshape(shape)
 
-    def bwd(g):
+    def bwd(g, nq, nk, nv):
         go = g.reshape((bq, sq, n_heads, dh)).transpose(0, 2, 1, 3)
-        if v.requires_grad:
-            gv = _unbroadcast(np.matmul(np.swapaxes(probs, -1, -2), go), vh.shape)
-            _accumulate(v, merge_heads(gv, v.shape))
-        if not (q.requires_grad or k.requires_grad):
+        if nv is not None:
+            gv = _unbroadcast(np.matmul(np.swapaxes(probs, -1, -2), go), vh_shape)
+            _accumulate(nv, merge_heads(gv, kv_shape))
+        if nq is None and nk is None:
             return
         gp = np.matmul(go, np.swapaxes(vh, -1, -2))
         gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * s
-        if q.requires_grad:
-            gq = _unbroadcast(np.matmul(gs, np.swapaxes(kt, -1, -2)), qh.shape)
-            _accumulate(q, merge_heads(gq, q.shape))
-        if k.requires_grad:
-            gk = _unbroadcast(np.matmul(np.swapaxes(qh, -1, -2), gs), kt.shape)
-            _accumulate(k, merge_heads(gk.transpose(0, 1, 3, 2), k.shape))
+        if nq is not None:
+            gq = _unbroadcast(np.matmul(gs, np.swapaxes(kt, -1, -2)), qh_shape)
+            _accumulate(nq, merge_heads(gq, q_shape))
+        if nk is not None:
+            gk = _unbroadcast(np.matmul(np.swapaxes(qh, -1, -2), gs), kt_shape)
+            _accumulate(nk, merge_heads(gk.transpose(0, 1, 3, 2), kv_shape))
 
     return _make(data, (q, k, v), bwd), probs
 
@@ -337,11 +382,12 @@ def attention(q, k, v, mask: np.ndarray, n_heads: int
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    data = np.maximum(a.data, 0.0)
+    a_data = a.data
+    data = np.maximum(a_data, 0.0)
 
-    def bwd(g):
+    def bwd(g, na):
         # subgradient at the kink is 0 by convention
-        _accumulate(a, g * (a.data > 0.0))
+        _accumulate(na, g * (a_data > 0.0))
 
     return _make(data, (a,), bwd)
 
@@ -350,29 +396,31 @@ def exp(a) -> Tensor:
     a = _as_tensor(a)
     data = np.exp(a.data)
 
-    def bwd(g):
-        _accumulate(a, g * data)
+    def bwd(g, na):
+        _accumulate(na, g * data)
 
     return _make(data, (a,), bwd)
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
+    a_data = a.data
 
-    def bwd(g):
-        _accumulate(a, g / a.data)
+    def bwd(g, na):
+        _accumulate(na, g / a_data)
 
-    return _make(np.log(a.data), (a,), bwd)
+    return _make(np.log(a_data), (a,), bwd)
 
 
 def clip_min(a, floor: float) -> Tensor:
     """max(a, floor); gradient is 0 where the floor is active."""
     a = _as_tensor(a)
+    a_data = a.data
     floor = float(floor)
-    data = np.maximum(a.data, floor)
+    data = np.maximum(a_data, floor)
 
-    def bwd(g):
-        _accumulate(a, g * (a.data > floor))
+    def bwd(g, na):
+        _accumulate(na, g * (a_data > floor))
 
     return _make(data, (a,), bwd)
 
@@ -384,9 +432,9 @@ def softmax(a, axis: int = -1) -> Tensor:
     e = np.exp(a.data - m)
     p = e / e.sum(axis=axis, keepdims=True)
 
-    def bwd(g):
+    def bwd(g, na):
         inner = (g * p).sum(axis=axis, keepdims=True)
-        _accumulate(a, p * (g - inner))
+        _accumulate(na, p * (g - inner))
 
     return _make(p, (a,), bwd)
 
@@ -398,9 +446,9 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
 
-    def bwd(g):
+    def bwd(g, na):
         p = np.exp(data)
-        _accumulate(a, g - p * g.sum(axis=axis, keepdims=True))
+        _accumulate(na, g - p * g.sum(axis=axis, keepdims=True))
 
     return _make(data, (a,), bwd)
 
@@ -420,20 +468,21 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat = centered * inv
     data = gain.data * xhat
     data += bias.data
+    gain_data = gain.data
 
-    def bwd(g):
-        if x.requires_grad:
-            gg = g * gain.data
-            _accumulate(x, inv * (
+    def bwd(g, nx, ngain, nbias):
+        if nx is not None:
+            gg = g * gain_data
+            _accumulate(nx, inv * (
                 gg
                 - gg.sum(axis=-1, keepdims=True) / n
                 - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / n)
             ))
         axes = tuple(range(g.ndim - 1))
-        if gain.requires_grad:
-            _accumulate(gain, (g * xhat).sum(axis=axes))
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=axes))
+        if ngain is not None:
+            _accumulate(ngain, (g * xhat).sum(axis=axes))
+        if nbias is not None:
+            _accumulate(nbias, g.sum(axis=axes))
 
     return _make(data, (x, gain, bias), bwd)
 
@@ -452,11 +501,12 @@ def embedding(table, ids: np.ndarray) -> Tensor:
             f"embedding: id out of range [0, {table.shape[0]}) in lookup"
         )
     data = table.data[ids]
+    table_shape = table.shape
 
-    def bwd(g):
-        gt = np.zeros_like(table.data)
+    def bwd(g, ntable):
+        gt = np.zeros(table_shape)
         np.add.at(gt, ids, g)
-        _accumulate(table, gt)
+        _accumulate(ntable, gt)
 
     return _make(data, (table,), bwd)
 
@@ -467,9 +517,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
-    def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
+    def bwd(g, *nodes):
+        for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            _accumulate(node, piece)
 
     return _make(data, tuple(tensors), bwd)
 
@@ -477,9 +527,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
+    a_shape = a.shape
 
-    def bwd(g):
-        _accumulate(a, g.reshape(a.shape))
+    def bwd(g, na):
+        _accumulate(na, g.reshape(a_shape))
 
     return _make(a.data.reshape(shape), (a,), bwd)
 
@@ -489,8 +540,8 @@ def transpose(a, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
-    def bwd(g):
-        _accumulate(a, g.transpose(inv))
+    def bwd(g, na):
+        _accumulate(na, g.transpose(inv))
 
     return _make(a.data.transpose(axes), (a,), bwd)
 
@@ -506,14 +557,15 @@ def gather(a, idx: np.ndarray) -> Tensor:
         raise ShapeError(f"gather: index shape {idx.shape} vs data {a.shape}")
     grid = np.ix_(*[np.arange(n) for n in idx.shape]) if idx.ndim else ()
     data = a.data[grid + (idx,)] if idx.ndim else a.data[idx]
+    a_shape = a.shape
 
-    def bwd(g):
-        ga = np.zeros_like(a.data)
+    def bwd(g, na):
+        ga = np.zeros(a_shape)
         if idx.ndim:
             np.add.at(ga, grid + (idx,), g)
         else:
             ga[idx] = g
-        _accumulate(a, ga)
+        _accumulate(na, ga)
 
     return _make(data, (a,), bwd)
 
@@ -521,23 +573,21 @@ def gather(a, idx: np.ndarray) -> Tensor:
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    a_shape = a.shape
 
-    def bwd(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
+    def bwd(g, na):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(na, np.broadcast_to(g, a_shape).copy())
 
     return _make(data, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
-# backward pass and gradient checking
+# backward pass
 
 
-def _consumed(g: np.ndarray) -> None:
+def _consumed(*_) -> None:
     """Stands in for the closure of a node whose gradient has passed."""
     raise RuntimeError("backward: graph already consumed by an earlier "
                        "backward (run the forward again)")
@@ -546,11 +596,12 @@ def _consumed(g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Reverse-mode pass from a scalar loss that consumes its graph.
 
-    Traverses the tape once, in reverse topological order. Once a node's
-    closure has passed its gradient on, the node drops its ``.grad``, its
-    closure and its parents, so activations are freed as the walk passes
-    them. Only leaves keep ``.grad``; leaves with ``requires_grad=False``
-    receive none. A second backward through a consumed node raises.
+    Traverses the nodes once, in reverse topological order. Once a node's
+    closure has passed its gradient on, the node drops its gradient, its
+    closure and its parents, so the arrays that closure kept are freed as
+    the walk passes them. Only leaves keep ``.grad``; leaves with
+    ``requires_grad=False`` receive none. A second backward through a
+    consumed node raises.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -559,9 +610,10 @@ def backward(loss: Tensor) -> None:
             "backward: loss is not connected to any trainable tensor "
             "(was forward run with trainable inputs?)"
         )
-    topo: list[Tensor] = []
+    root = _route(loss)
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -570,53 +622,15 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         if node._backward is _consumed:
-            _consumed(node.grad)  # fail before any gradient moves
+            _consumed()  # fail before any gradient moves
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if p is not None and p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         if node._backward is not None:
-            node._backward(node.grad)
+            node._backward(node.grad, *node._parents)
             node.grad, node._backward, node._parents = None, _consumed, ()
-
-
-def grad_check(
-    op_under_test: Callable[[Tensor], Tensor],
-    point: np.ndarray,
-    eps: float = 1e-4,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The op's (possibly non-scalar) output is reduced to a scalar with a
-    fixed random linear functional so that no gradient direction is blind.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    w = np.random.default_rng(seed).standard_normal(
-        op_under_test(Tensor(point)).data.shape
-    )
-
-    def scalar_fn(arr: np.ndarray) -> float:
-        return float((op_under_test(Tensor(arr)).data * w).sum())
-
-    x = Tensor(point.copy(), requires_grad=True)
-    out = op_under_test(x)
-    backward(tsum(mul(out, w)))
-    analytic = x.grad if x.grad is not None else np.zeros_like(point)
-
-    worst = 0.0
-    flat = point.ravel()
-    for k in range(flat.size):
-        bump = np.zeros_like(flat)
-        bump[k] = eps
-        hi = scalar_fn((flat + bump).reshape(point.shape))
-        lo = scalar_fn((flat - bump).reshape(point.shape))
-        numeric = (hi - lo) / (2 * eps)
-        a = analytic.ravel()[k]
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst

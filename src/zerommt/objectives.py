@@ -15,7 +15,6 @@ ablations included, one forward at a time: the two terms share no interior
 node, so a caller that backpropagates each term before asking for the next
 holds one term's graph at a time, and its leaves receive the same
 gradients, in the same order, as from one backward of the sum.
-``adaptation_loss`` sums the same terms into one tensor.
 """
 
 from __future__ import annotations
@@ -309,22 +308,3 @@ def adaptation_terms(
                   if anchor_kind == "kl" else mmt_loss(batch, params))
         yield "anchor", anchor, ad.scale(anchor, lam)
 
-
-def adaptation_loss(
-    batch: Batch,
-    params: ModelParams,
-    mode: str,
-    lam: float,
-    base_lp: list[np.ndarray] | None = None,
-) -> tuple[Tensor, Tensor | None, Tensor | None]:
-    """The objective of ``mode`` as one tensor: the sum of the weighted
-    ``adaptation_terms``, returned with both unweighted parts, None where a
-    part is off. Its graph holds both terms at once; training
-    backpropagates them one at a time instead."""
-    total = None
-    parts: dict[str, Tensor] = {}
-    for name, term, weighted in adaptation_terms(batch, params, mode, lam,
-                                                 base_lp):
-        parts[name] = term
-        total = weighted if total is None else ad.add(total, weighted)
-    return total, parts.get("vmlm"), parts.get("anchor")

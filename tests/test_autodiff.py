@@ -13,6 +13,8 @@ from zerommt import model as m
 from zerommt import objectives as obj
 from zerommt.autodiff import ShapeError, Tensor
 
+from oracles import grad_check, summed_terms
+
 
 def _sum_backward(out: Tensor) -> None:
     ad.backward(ad.tsum(out))
@@ -178,21 +180,21 @@ def _shifted(shape, seed):
     ],
 )
 def test_grad_check_unary(name, op, shape):
-    assert ad.grad_check(op, _shifted(shape, 11)) < GRAD_TOL
+    assert grad_check(op, _shifted(shape, 11)) < GRAD_TOL
 
 
 def test_grad_check_log_positive_point():
     point = np.abs(_shifted((3, 3), 5)) + 0.5
-    assert ad.grad_check(lambda t: ad.log(t), point) < GRAD_TOL
+    assert grad_check(lambda t: ad.log(t), point) < GRAD_TOL
 
 
 def test_grad_check_matmul_both_sides():
     w = Tensor(np.random.default_rng(7).standard_normal((4, 3)))
     x0 = np.random.default_rng(8).standard_normal((2, 4))
-    assert ad.grad_check(lambda t: ad.matmul(t, w), x0) < GRAD_TOL
+    assert grad_check(lambda t: ad.matmul(t, w), x0) < GRAD_TOL
     xc = Tensor(x0)
     w0 = np.random.default_rng(9).standard_normal((4, 3))
-    assert ad.grad_check(lambda t: ad.matmul(xc, t), w0) < GRAD_TOL
+    assert grad_check(lambda t: ad.matmul(xc, t), w0) < GRAD_TOL
 
 
 def test_grad_check_batched_matmul():
@@ -204,20 +206,20 @@ def test_grad_check_batched_matmul():
     ]:
         a0 = np.random.default_rng(14).standard_normal(a_shape)
         b0 = np.random.default_rng(13).standard_normal(b_shape)
-        assert ad.grad_check(lambda t: ad.matmul(t, Tensor(b0)), a0) < GRAD_TOL
-        assert ad.grad_check(lambda t: ad.matmul(Tensor(a0), t), b0) < GRAD_TOL
+        assert grad_check(lambda t: ad.matmul(t, Tensor(b0)), a0) < GRAD_TOL
+        assert grad_check(lambda t: ad.matmul(Tensor(a0), t), b0) < GRAD_TOL
 
 
 def test_grad_check_layer_norm_all_inputs():
     gain = Tensor(np.random.default_rng(1).uniform(0.5, 1.5, size=6))
     bias = Tensor(np.random.default_rng(2).standard_normal(6))
     x0 = np.random.default_rng(3).standard_normal((2, 6))
-    assert ad.grad_check(lambda t: ad.layer_norm(t, gain, bias), x0) < GRAD_TOL
+    assert grad_check(lambda t: ad.layer_norm(t, gain, bias), x0) < GRAD_TOL
     xc = Tensor(x0)
-    assert ad.grad_check(
+    assert grad_check(
         lambda t: ad.layer_norm(xc, t, bias), gain.data.copy()
     ) < GRAD_TOL
-    assert ad.grad_check(
+    assert grad_check(
         lambda t: ad.layer_norm(xc, gain, t), bias.data.copy()
     ) < GRAD_TOL
 
@@ -225,13 +227,13 @@ def test_grad_check_layer_norm_all_inputs():
 def test_grad_check_gather():
     idx = np.array([1, 4, 0])
     x0 = np.random.default_rng(21).standard_normal((3, 5))
-    assert ad.grad_check(lambda t: ad.gather(t, idx), x0) < GRAD_TOL
+    assert grad_check(lambda t: ad.gather(t, idx), x0) < GRAD_TOL
 
 
 def test_grad_check_embedding_table():
     ids = np.array([[0, 2, 2], [1, 0, 3]])
     table0 = np.random.default_rng(22).standard_normal((4, 6))
-    assert ad.grad_check(lambda t: ad.embedding(t, ids), table0) < GRAD_TOL
+    assert grad_check(lambda t: ad.embedding(t, ids), table0) < GRAD_TOL
 
 
 def test_grad_check_composite_chain():
@@ -241,7 +243,7 @@ def test_grad_check_composite_chain():
         h = ad.relu(ad.matmul(t, w))
         return ad.log_softmax(ad.add(h, 0.3), axis=-1)
 
-    assert ad.grad_check(chain, _shifted((3, 4), 32)) < GRAD_TOL
+    assert grad_check(chain, _shifted((3, 4), 32)) < GRAD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +394,9 @@ def test_layer_node_shape_errors():
 def test_grad_check_linear_every_input():
     a = _draw(45, x=(2, 3, 4), w=(4, 5), b=(5,))
     x, w, b = (Tensor(a[n]) for n in "xwb")
-    assert ad.grad_check(lambda t: ad.linear(t, w, b), a["x"]) < GRAD_TOL
-    assert ad.grad_check(lambda t: ad.linear(x, t, b), a["w"]) < GRAD_TOL
-    assert ad.grad_check(lambda t: ad.linear(x, w, t), a["b"]) < GRAD_TOL
+    assert grad_check(lambda t: ad.linear(t, w, b), a["x"]) < GRAD_TOL
+    assert grad_check(lambda t: ad.linear(x, t, b), a["w"]) < GRAD_TOL
+    assert grad_check(lambda t: ad.linear(x, w, t), a["b"]) < GRAD_TOL
 
 
 def test_grad_check_mlp_every_input():
@@ -410,7 +412,7 @@ def test_grad_check_mlp_every_input():
             args[i] = t
             return ad.mlp(*args)
 
-        assert ad.grad_check(f, a[name]) < GRAD_TOL, name
+        assert grad_check(f, a[name]) < GRAD_TOL, name
 
 
 @pytest.mark.parametrize("shapes,mask", [
@@ -426,7 +428,7 @@ def test_grad_check_attention_every_input(shapes, mask):
             args[i] = t
             return ad.attention(*args, mask, 3)[0]
 
-        assert ad.grad_check(f, a[name]) < GRAD_TOL, name
+        assert grad_check(f, a[name]) < GRAD_TOL, name
 
 
 def test_layer_norm_means_are_numpy_means():
@@ -486,7 +488,7 @@ def test_frozen_parents_change_no_extra_gradient(tiny_params):
 
     def backprop():
         tiny_params.zero_grads()
-        loss, _, _ = obj.adaptation_loss(batch, tiny_params, "full", 1.0)
+        loss, _, _ = summed_terms(batch, tiny_params, "full", 1.0)
         ad.backward(loss)
         return {n: tiny_params.tensors[n].grad.tobytes()
                 for n in tiny_params.extra_names()}
@@ -508,7 +510,7 @@ def test_grad_check_with_frozen_operands():
     def f(x):
         return ad.layer_norm(ad.add(ad.mul(ad.matmul(x, w), c), c), gain, bias)
 
-    assert ad.grad_check(f, rng.standard_normal((2, 3))) < GRAD_TOL
+    assert grad_check(f, rng.standard_normal((2, 3))) < GRAD_TOL
     assert all(t.grad is None for t in (w, c, gain, bias))
 
 
@@ -523,11 +525,14 @@ def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
     w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
     h = ad.relu(ad.mul(x, w))
     loss = ad.tsum(ad.exp(h))
-    ref = weakref.ref(h)
+    # the loss's route reaches h's node, not the tensor h
+    node, ref = loss._node, weakref.ref(h._node)
     del h
+    assert ref() is not None and node._parents != ()
     ad.backward(loss)
     assert ref() is None
-    assert loss.grad is None and loss._parents == ()
+    assert node.grad is None and node._parents == ()
+    assert node._backward is ad._consumed and loss.grad is None
     assert loss.data == np.exp(0.5) + 1.0 + np.exp(6.0)
     up = np.exp(np.maximum(x.data * w.data, 0.0)) * (x.data * w.data > 0.0)
     assert np.array_equal(x.grad, up * w.data)
@@ -545,6 +550,117 @@ def test_a_second_backward_on_a_consumed_graph_raises():
     with pytest.raises(RuntimeError, match="already consumed"):
         ad.backward(ad.tsum(ad.scale(h, 3.0)))
     assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+# ---------------------------------------------------------------------------
+# nodes hold gradient routes: no op output outlives its caller unless a
+# backward reads its array
+
+
+def _batch(params):
+    """Two examples of different lengths, with images and mask sets."""
+    rng = np.random.default_rng(50)
+    dim = params.config.image_dim
+    return obj.Batch([
+        obj.BatchExample(src=[5, 6, 7], tgt=[m.BOS, 8, 9, m.EOS],
+                         image=rng.standard_normal(dim), mask_set=(1,)),
+        obj.BatchExample(src=[11, 12], tgt=[m.BOS, 13, m.EOS],
+                         image=rng.standard_normal(dim), mask_set=(0,)),
+    ])
+
+
+def _losses(params, mode):
+    """The losses of one step: the weighted full-mode terms with the
+    extras trainable, or the text-only NLL with the base trainable."""
+    m.randomize_extras(params, seed=51)
+    batch = _batch(params)
+    if mode == "pretraining":
+        params.unfreeze_base()
+        return [obj.text_nll(batch, params)]
+    return [weighted for _, _, weighted in
+            obj.adaptation_terms(batch, params, "full", 0.7)]
+
+
+def _held_by_graph(loss):
+    """The recorded nodes below ``loss``, and every object they hold: each
+    parent route and each closure cell's contents, opening nested
+    closures, tuples and lists."""
+    nodes, held, seen, stack = [], [], set(), [loss._node]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        held.extend(node._parents)
+        stack.extend(node._parents)
+        cells = [node._backward]
+        while cells:
+            item = cells.pop()
+            if callable(item) and getattr(item, "__closure__", None):
+                cells.extend(c.cell_contents for c in item.__closure__)
+            elif isinstance(item, (tuple, list)):
+                cells.extend(item)
+            else:
+                held.append(item)
+    return nodes, held
+
+
+@pytest.mark.parametrize("mode", ["adaptation", "pretraining"])
+def test_no_node_or_closure_holds_an_op_output(tiny_params, mode):
+    leaves = {id(t) for t in tiny_params.tensors.values()}
+    for loss in _losses(tiny_params, mode):
+        nodes, held = _held_by_graph(loss)
+        tensors = [t for t in held if isinstance(t, Tensor)]
+        assert len(nodes) > 30 and tensors
+        assert all(id(t) in leaves for t in tensors)
+        assert any(isinstance(t, np.ndarray) for t in held)
+        ad.backward(loss)
+
+
+def test_a_residual_add_output_dies_with_its_caller(tiny_params, monkeypatch):
+    m.randomize_extras(tiny_params, seed=52)
+    batch = _batch(tiny_params)
+    refs = []
+
+    def watched(a, b, _add=ad.add):
+        out = _add(a, b)
+        if out.requires_grad:
+            refs.append((weakref.ref(out), weakref.ref(out.data)))
+        return out
+
+    monkeypatch.setattr(ad, "add", watched)
+    logits = m.teacher_forced_logits(
+        tiny_params, [ex.src for ex in batch.examples],
+        [ex.image for ex in batch.examples], [ex.tgt for ex in batch.examples])
+    loss = ad.tsum(ad.log_softmax(logits))
+    del logits
+    # the residual stream and each adapter's sum: the tensors and arrays
+    # are gone before the backward, which still reaches every extra
+    assert len(refs) >= 6
+    assert all(t() is None and a() is None for t, a in refs)
+    ad.backward(loss)
+    assert all(tiny_params.tensors[n].grad is not None
+               for n in tiny_params.extra_names())
+
+
+def test_a_linear_input_stays_reachable_until_backward(tiny_params,
+                                                        monkeypatch):
+    tiny_params.unfreeze_base()
+    batch = _batch(tiny_params)
+    refs = []
+
+    def watched(x, w, b, _linear=ad.linear):
+        refs.append(weakref.ref(x.data))
+        return _linear(x, w, b)
+
+    monkeypatch.setattr(ad, "linear", watched)
+    loss = obj.text_nll(batch, tiny_params)
+    # each input is read by its weight's gradient, so only the tape holds it
+    assert len(refs) >= 10
+    assert all(ref() is not None for ref in refs)
+    ad.backward(loss)
+    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +691,7 @@ def test_no_grad_records_nothing():
         out = ad.tsum(ad.relu(ad.mul(ad.add(x, 1.0), x)))
     assert x.requires_grad
     assert not out.requires_grad
-    assert out._parents == () and out._backward is None
+    assert out._node is None
     with pytest.raises(RuntimeError):
         ad.backward(out)
     assert x.grad is None
@@ -598,7 +714,7 @@ def test_no_grad_restores_recording_after_an_exception():
             raise KeyError("inside the scope")
     assert ad.is_recording()
     point = np.array([[0.3, -0.7, 1.1], [0.2, 0.5, -0.4]])
-    assert ad.grad_check(lambda x: ad.softmax(ad.mul(x, x)), point) < GRAD_TOL
+    assert grad_check(lambda x: ad.softmax(ad.mul(x, x)), point) < GRAD_TOL
 
 
 def test_beam_searches_unchanged_by_no_grad(tiny_params):

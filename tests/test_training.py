@@ -24,6 +24,8 @@ from zerommt.training import (
     TrainData,
 )
 
+from oracles import summed_terms
+
 
 def _scalar_params(tiny_config, value=1.0, trainable=True):
     t = ad.Tensor(np.array([value]), requires_grad=trainable)
@@ -243,7 +245,7 @@ def test_term_by_term_backward_matches_one_backward_of_the_sum(
     assert hexed(got_total, values.get("vmlm"), values.get("anchor")) \
         == want_values
 
-    total, vmlm, anchor = obj.adaptation_loss(batch, tiny_params, mode, 0.7)
+    total, vmlm, anchor = summed_terms(batch, tiny_params, mode, 0.7)
     ad.backward(total)
     assert taken_grads() == want
     assert hexed(total.data, None if vmlm is None else vmlm.data,
@@ -429,11 +431,12 @@ def test_training_divergence_in_the_first_term_stops_before_the_update(
 
 
 def _interior_nodes(root):
-    """Every recorded node below ``root``, the root itself excluded."""
-    out, seen, stack = [], set(), list(root._parents)
+    """Every recorded node below ``root``'s node, that node itself
+    excluded; leaves (no closure) and untaken routes (None) are skipped."""
+    out, seen, stack = [], set(), list(root._node._parents)
     while stack:
         node = stack.pop()
-        if id(node) in seen or node._backward is None:
+        if node is None or id(node) in seen or node._backward is None:
             continue
         seen.add(id(node))
         out.append(node)
