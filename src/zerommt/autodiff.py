@@ -13,7 +13,12 @@ small node (its gradient, its parents' nodes, its closure); a leaf is its
 own node. Each closure keeps only the arrays and shapes its own backward
 reads (None where no gradient needs an array), never a Tensor, so an
 activation no backward reads is freed as soon as the caller drops its
-tensor. Everything is float64 and fully deterministic: two
+tensor. A ``layer_norm`` or ``attention`` output also carries a recipe:
+a function that rebuilds its array from arrays its own node keeps anyway,
+with the forward's numpy calls in the forward's order. ``linear`` and
+``mlp`` keep such an input's recipe instead of its array and rebuild it in
+their backward, so these outputs too are freed with the caller's tensor.
+Everything is float64 and fully deterministic: two
 identical forward+backward passes produce bit-identical numbers.
 ``backward`` consumes the graph it walks: nodes are freed as their
 gradients pass, and only leaves keep ``.grad``.
@@ -44,9 +49,11 @@ class Tensor:
     records nothing, so frozen-model and inference forwards build no graph
     at all. The node refers to no op output, so the tensor's array lives
     only as long as the caller holds the tensor, unless a backward reads it.
+    A recorded output may carry ``_recipe``, which rebuilds its array.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_recipe",
+                 "__weakref__")
     # a leaf's route: no parents, no closure
     _parents: tuple = ()
     _backward = None
@@ -56,6 +63,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: _Node | None = None
+        self._recipe: Callable[[], np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,12 +124,20 @@ def _route(t: Tensor) -> Tensor | _Node | None:
     return t if t._node is None else t._node
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward,
+          recipe: Callable[[], np.ndarray] | None = None) -> Tensor:
     out = Tensor(data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(tuple(_route(p) for p in parents), backward)
+        out._recipe = recipe
     return out
+
+
+def _keep(t: Tensor) -> np.ndarray | Callable[[], np.ndarray]:
+    """What a backward keeps to read ``t``'s array: its recipe if it has
+    one, else the array."""
+    return t.data if t._recipe is None else t._recipe
 
 
 def _accumulate(node: Tensor | _Node | None, g: np.ndarray) -> None:
@@ -258,14 +274,16 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
     return out
 
 
-def _affine_grads(x: np.ndarray | None, w: np.ndarray | None, nw, nb,
+def _affine_grads(x, w: np.ndarray | None, nw, nb,
                   g: np.ndarray) -> np.ndarray | None:
     """Give the routes ``nw`` and ``nb`` their gradients of ``x @ w + b``,
     routed as ``add(matmul(x, w), b)`` routes them; return that of ``x``
-    when ``w`` is given. ``x`` is read only for ``nw``."""
+    when ``w`` is given. ``x`` (an array or a recipe, see ``_keep``) is
+    read only for ``nw``."""
     if nb is not None:
         _accumulate(nb, _unbroadcast(g, g.shape[-1:]))
     if nw is not None:
+        x = x() if callable(x) else x
         _accumulate(nw, np.matmul(x.reshape(-1, x.shape[-1]).T,
                                   g.reshape(-1, g.shape[-1])))
     if w is None:
@@ -275,28 +293,30 @@ def _affine_grads(x: np.ndarray | None, w: np.ndarray | None, nw, nb,
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` as one node, bit for bit ``add(matmul(x, w), b)``
-    with a 2-D weight and a bias of its width; it keeps ``x`` only for a
-    weight that takes a gradient, and no pre-bias array."""
+    with a 2-D weight and a bias of its width. It keeps ``x`` only for a
+    weight that takes a gradient, as ``x``'s recipe where ``x`` has one,
+    and no pre-bias array."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     data = _affine(x.data, w.data, b.data, "linear")
-    x_data = x.data if w.requires_grad else None
+    x_kept = _keep(x) if w.requires_grad else None
     w_data = w.data if x.requires_grad else None
 
     def bwd(g, nx, nw, nb):
-        _accumulate(nx, _affine_grads(x_data, w_data, nw, nb, g))
+        _accumulate(nx, _affine_grads(x_kept, w_data, nw, nb, g))
 
     return _make(data, (x, w, b), bwd)
 
 
 def mlp(x, w1, b1, w2, b2) -> Tensor:
     """``relu(x @ w1 + b1) @ w2 + b2`` as one node, bit for bit the chain
-    ``linear``, ``relu``, ``linear``; it keeps the hidden activation, and
-    ``x`` only for a first weight that takes a gradient."""
+    ``linear``, ``relu``, ``linear``. It keeps the hidden activation, and
+    ``x`` only for a first weight that takes a gradient, as ``x``'s recipe
+    where ``x`` has one."""
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     hidden = _affine(x.data, w1.data, b1.data, "mlp")
     np.maximum(hidden, 0.0, out=hidden)
     data = _affine(hidden, w2.data, b2.data, "mlp")
-    x_data = x.data if w1.requires_grad else None
+    x_kept = _keep(x) if w1.requires_grad else None
     w1_data = w1.data if x.requires_grad else None
     below = x.requires_grad or w1.requires_grad or b1.requires_grad
     w2_data = w2.data if below else None
@@ -306,7 +326,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
         if gh is None:
             return
         # relu's subgradient: hidden > 0 exactly where its input was
-        _accumulate(nx, _affine_grads(x_data, w1_data, nw1, nb1,
+        _accumulate(nx, _affine_grads(x_kept, w1_data, nw1, nb1,
                                       gh * (hidden > 0.0)))
 
     return _make(data, (x, w1, b1, w2, b2), bwd)
@@ -323,7 +343,9 @@ def attention(q, k, v, mask: np.ndarray, n_heads: int
     (B, n_heads, Sq, Sk), -inf on the keys a query may not read. Returns
     the merged heads (B, Sq, d) and the probabilities (B, n_heads, Sq, Sk),
     which the node keeps, with the heads of ``q``, ``k`` and ``v`` only
-    where a gradient reads them.
+    where a gradient reads them. Where it keeps the heads of ``v``, the
+    merged output carries a recipe (``probs @ vh``, heads merged), so no
+    consumer needs to keep it.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     bq, sq, d = q.shape
@@ -345,8 +367,11 @@ def attention(q, k, v, mask: np.ndarray, n_heads: int
     probs -= np.max(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = np.matmul(probs, vh)
-    data = out.transpose(0, 2, 1, 3).reshape(bq, sq, d)
+
+    def merged() -> np.ndarray:
+        return np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(bq, sq, d)
+
+    data = merged()
     q_shape, kv_shape = q.shape, k.shape
     qh_shape, kt_shape, vh_shape = qh.shape, kt.shape, vh.shape
     # each head array stays only where a gradient reads it
@@ -373,7 +398,8 @@ def attention(q, k, v, mask: np.ndarray, n_heads: int
             gk = _unbroadcast(np.matmul(np.swapaxes(qh, -1, -2), gs), kt_shape)
             _accumulate(nk, merge_heads(gk.transpose(0, 1, 3, 2), kv_shape))
 
-    return _make(data, (q, k, v), bwd), probs
+    return _make(data, (q, k, v), bwd,
+                 None if vh is None else merged), probs
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +480,11 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis, then apply elementwise gain and bias."""
+    """Normalize the last axis, then apply elementwise gain and bias.
+
+    The node keeps the normalised input and the inverse deviations; the
+    output carries a recipe, ``gain * xhat + bias``, that rebuilds it from
+    them."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ShapeError(
@@ -466,9 +496,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = (centered ** 2).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    data = gain.data * xhat
-    data += bias.data
-    gain_data = gain.data
+    gain_data, bias_data = gain.data, bias.data
+
+    def output() -> np.ndarray:
+        out = gain_data * xhat
+        out += bias_data
+        return out
+
+    data = output()
 
     def bwd(g, nx, ngain, nbias):
         if nx is not None:
@@ -484,7 +519,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         if nbias is not None:
             _accumulate(nbias, g.sum(axis=axes))
 
-    return _make(data, (x, gain, bias), bwd)
+    return _make(data, (x, gain, bias), bwd, output)
 
 
 # ---------------------------------------------------------------------------

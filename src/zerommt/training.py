@@ -134,10 +134,12 @@ def adam_step(
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    tensors = {}
-    for n, t in params.tensors.items():
-        nt = ad.Tensor(t.data.copy(), requires_grad=t.requires_grad)
-        tensors[n] = nt
+    """A copy whose trainable tensors own copies of their arrays, while
+    frozen ones share theirs: no code writes a parameter array in place
+    (Adam rebinds ``.data``), so neither side can change the other."""
+    tensors = {n: ad.Tensor(t.data.copy() if t.requires_grad else t.data,
+                            requires_grad=t.requires_grad)
+               for n, t in params.tensors.items()}
     return ModelParams(
         config=params.config, tensors=tensors, is_extra=dict(params.is_extra)
     )
@@ -182,8 +184,10 @@ def _descend(params: ModelParams, config, n: int, rng: np.random.Generator,
 
     ``terms_of(idxs)`` returns the terms of one batch's objective, which
     ``_backpropagate_terms`` consumes, so a step holds one term's graph at a
-    time and no step's graph survives into the next forward. A non-finite
-    total raises naming ``stage`` and the step, before the update.
+    time and no step's graph survives into the next forward. Nor do its
+    gradients: the leaves drop them after the update, and nothing else
+    holds them. A non-finite total raises naming ``stage`` and the step,
+    before the update.
 
     ``train``'s source masks draw from the same ``rng`` as ``_batches``, so
     ``terms_of`` must run between batch draws: that order is part of
@@ -196,9 +200,9 @@ def _descend(params: ModelParams, config, n: int, rng: np.random.Generator,
         total, values = _backpropagate_terms(terms_of(idxs))
         if not math.isfinite(total):
             raise RuntimeError(f"{stage} diverged at step {step}: loss={total}")
-        grads = {name: t.grad for name, t in params.tensors.items()
-                 if t.requires_grad and t.grad is not None}
-        adam_step(params, grads, state, config.lr)
+        adam_step(params, {name: t.grad for name, t in params.tensors.items()
+                           if t.requires_grad and t.grad is not None},
+                  state, config.lr)
         params.zero_grads()
         yield step, total, values
 

@@ -583,8 +583,8 @@ def _losses(params, mode):
 
 def _held_by_graph(loss):
     """The recorded nodes below ``loss``, and every object they hold: each
-    parent route and each closure cell's contents, opening nested
-    closures, tuples and lists."""
+    parent route and each closure cell's contents, opening (and listing)
+    nested closures such as recipes, and opening tuples and lists."""
     nodes, held, seen, stack = [], [], set(), [loss._node]
     while stack:
         node = stack.pop()
@@ -598,6 +598,7 @@ def _held_by_graph(loss):
         while cells:
             item = cells.pop()
             if callable(item) and getattr(item, "__closure__", None):
+                held.append(item)
                 cells.extend(c.cell_contents for c in item.__closure__)
             elif isinstance(item, (tuple, list)):
                 cells.extend(item)
@@ -606,15 +607,43 @@ def _held_by_graph(loss):
     return nodes, held
 
 
+def _watch_recipe_outputs(monkeypatch):
+    """Patch ``ad.layer_norm`` and ``ad.attention`` to collect every output
+    they make: the ops whose outputs may carry a recipe."""
+    outputs = []
+
+    def layer_norm(*args, _ln=ad.layer_norm):
+        outputs.append(_ln(*args))
+        return outputs[-1]
+
+    def attention(*args, _attention=ad.attention):
+        out, probs = _attention(*args)
+        outputs.append(out)
+        return out, probs
+
+    monkeypatch.setattr(ad, "layer_norm", layer_norm)
+    monkeypatch.setattr(ad, "attention", attention)
+    return outputs
+
+
 @pytest.mark.parametrize("mode", ["adaptation", "pretraining"])
-def test_no_node_or_closure_holds_an_op_output(tiny_params, mode):
+def test_no_node_or_closure_holds_an_op_output(tiny_params, mode,
+                                               monkeypatch):
     leaves = {id(t) for t in tiny_params.tensors.values()}
-    for loss in _losses(tiny_params, mode):
+    outputs = _watch_recipe_outputs(monkeypatch)
+    losses = _losses(tiny_params, mode)
+    recipes = [out._recipe for out in outputs if out._recipe is not None]
+    for loss in losses:
         nodes, held = _held_by_graph(loss)
         tensors = [t for t in held if isinstance(t, Tensor)]
         assert len(nodes) > 30 and tensors
         assert all(id(t) in leaves for t in tensors)
         assert any(isinstance(t, np.ndarray) for t in held)
+        # pretraining's layers keep recipes, whose closures were walked;
+        # adaptation's trainable layers read no layer-norm or attention output
+        kept = {id(r) for r in recipes} & {id(h) for h in held}
+        assert recipes and len(kept) == (len(recipes) if mode == "pretraining"
+                                         else 0)
         ad.backward(loss)
 
 
@@ -644,23 +673,121 @@ def test_a_residual_add_output_dies_with_its_caller(tiny_params, monkeypatch):
                for n in tiny_params.extra_names())
 
 
-def test_a_linear_input_stays_reachable_until_backward(tiny_params,
-                                                        monkeypatch):
-    tiny_params.unfreeze_base()
-    batch = _batch(tiny_params)
-    refs = []
+def _watch_layer_inputs(monkeypatch):
+    """Patch ``ad.linear`` and ``ad.mlp`` to record each input whose
+    (first) weight takes a gradient: a weak reference to its array, and
+    whether it carries a recipe."""
+    seen = []
 
-    def watched(x, w, b, _linear=ad.linear):
-        refs.append(weakref.ref(x.data))
+    def linear(x, w, b, _linear=ad.linear):
+        if w.requires_grad:
+            seen.append((weakref.ref(x.data), x._recipe is not None))
         return _linear(x, w, b)
 
-    monkeypatch.setattr(ad, "linear", watched)
+    def mlp(x, w1, b1, w2, b2, _mlp=ad.mlp):
+        if w1.requires_grad:
+            seen.append((weakref.ref(x.data), x._recipe is not None))
+        return _mlp(x, w1, b1, w2, b2)
+
+    monkeypatch.setattr(ad, "linear", linear)
+    monkeypatch.setattr(ad, "mlp", mlp)
+    return seen
+
+
+def _leaf_grads(params):
+    return {n: None if t.grad is None else t.grad.tobytes()
+            for n, t in params.tensors.items()}
+
+
+def test_layer_norm_and_attention_outputs_die_with_the_forward(
+        tiny_params, monkeypatch):
+    tiny_params.unfreeze_base()
+    batch = _batch(tiny_params)
+    with monkeypatch.context() as patched:
+        # every layer keeps its input's array, as before recipes
+        patched.setattr(ad, "_keep", lambda t: t.data)
+        ad.backward(obj.text_nll(batch, tiny_params))
+    want = _leaf_grads(tiny_params)
+    tiny_params.zero_grads()
+    seen = _watch_layer_inputs(monkeypatch)
     loss = obj.text_nll(batch, tiny_params)
-    # each input is read by its weight's gradient, so only the tape holds it
-    assert len(refs) >= 10
-    assert all(ref() is not None for ref in refs)
+    # in pretraining each linear and mlp reads a layer-norm or attention
+    # output, and the tape keeps its recipe, not its array
+    assert len(seen) >= 15
+    assert all(has_recipe and ref() is None for ref, has_recipe in seen)
     ad.backward(loss)
-    assert all(ref() is None for ref in refs)
+    assert _leaf_grads(tiny_params) == want
+    assert sum(g is not None for g in want.values()) > 20
+
+
+def test_an_adapter_input_stays_reachable_until_backward(tiny_params,
+                                                         monkeypatch):
+    seen = _watch_layer_inputs(monkeypatch)
+    losses = _losses(tiny_params, "adaptation")
+    # an adapter's input is a projection's or FFN's output: no recipe, so
+    # the tape holds its array, and only the tape
+    assert len(seen) >= 10
+    assert all(not has_recipe and ref() is not None for ref, has_recipe in seen)
+    for loss in losses:
+        ad.backward(loss)
+    assert all(ref() is None for ref, _ in seen)
+
+
+# ---------------------------------------------------------------------------
+# recipes: an output rebuilt from the arrays its own node keeps
+
+
+def _rebuilds_its_output(out):
+    rebuilt = out._recipe()
+    assert rebuilt is not out.data
+    assert rebuilt.dtype == out.data.dtype and rebuilt.shape == out.shape
+    assert rebuilt.strides == out.data.strides
+    return rebuilt.tobytes() == out.data.tobytes()
+
+
+@pytest.mark.parametrize("trainable", ["x", "gain", "bias"])
+def test_a_layer_norm_recipe_rebuilds_its_output(trainable):
+    a = _draw(60, x=(3, 5, 12), gain=(12,), bias=(12,))
+    t = {n: Tensor(a[n], requires_grad=n == trainable) for n in a}
+    assert _rebuilds_its_output(ad.layer_norm(t["x"], t["gain"], t["bias"]))
+
+
+ATTENTION_CASES = [
+    (dict(q=(3, 5, 6), k=(3, 5, 6), v=(3, 5, 6)),
+     SELF_MASKS["causal+padding"]),
+    (dict(q=(4, 3, 6), k=(1, 5, 6), v=(1, 5, 6)), _key_mask([[0, 1, 1, 1, 0]])),
+]
+
+
+@pytest.mark.parametrize("shapes,mask", ATTENTION_CASES)
+@pytest.mark.parametrize("trainable", ["q", "k"])
+def test_an_attention_recipe_rebuilds_its_output(shapes, mask, trainable):
+    a = _draw(61, **shapes)
+    q, k, v = (Tensor(a[n], requires_grad=n == trainable) for n in "qkv")
+    assert _rebuilds_its_output(ad.attention(q, k, v, mask, 3)[0])
+
+
+def test_attention_keeping_no_value_heads_has_no_recipe():
+    # only v takes a gradient, which reads no heads of v
+    a = _draw(62, q=(2, 4, 6), k=(2, 4, 6), v=(2, 4, 6))
+    v = Tensor(a["v"], requires_grad=True)
+    out, _ = ad.attention(Tensor(a["q"]), Tensor(a["k"]), v,
+                          np.zeros((1, 1, 1, 4)), 2)
+    assert out.requires_grad and out._recipe is None
+
+
+def test_recipes_in_a_taped_forward_only(tiny_params, monkeypatch):
+    outputs = _watch_recipe_outputs(monkeypatch)
+    tiny_params.unfreeze_base()
+    _model_forward(tiny_params)
+    # enc ln1, attn, ln2, enc_ln; dec ln1, self, ln2, cross, ln3, dec_ln
+    assert len(outputs) == 10
+    assert all(_rebuilds_its_output(out) for out in outputs)
+    outputs.clear()
+    with ad.no_grad():
+        _model_forward(tiny_params)
+    assert len(outputs) == 10
+    assert all(out._recipe is None for out in outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,38 @@ def test_no_step_graph_survives_into_the_next_forward(
     assert all(refs)
 
 
+@pytest.mark.parametrize("stage, forward", [("pretraining", "text_nll"),
+                                            ("adaptation", "vmlm_loss")])
+def test_no_step_gradient_survives_into_the_next_forward(
+        mini_world, mini_base, monkeypatch, stage, forward):
+    # step k's gradients go with its update: none is alive when step k+1's
+    # forward starts
+    from conftest import TINY
+
+    _, splits = mini_world
+    refs, forwards = [], []
+
+    def recording(params, grads, state, lr, _step=tr.adam_step):
+        refs.append([weakref.ref(g) for g in grads.values()])
+        _step(params, grads, state, lr)
+
+    def watched(*args, _loss=getattr(tr.obj, forward), **kwargs):
+        assert all(ref() is None for step in refs for ref in step)
+        forwards.append(1)
+        return _loss(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "adam_step", recording)
+    monkeypatch.setattr(tr.obj, forward, watched)
+    if stage == "pretraining":
+        tr.pretrain_base(splits.pretrain_parallel, dataclasses.replace(TINY),
+                         PretrainConfig(max_steps=3, batch_size=8))
+    else:
+        tr.train(_mini_train_config(max_steps=3), _mini_data(splits),
+                 mini_base)
+    assert len(refs) == len(forwards) == 3
+    assert all(refs)
+
+
 @pytest.mark.parametrize("mode, anchor", [("full", "kl_penalty"),
                                           ("mmt_no_kl", "mmt_loss")])
 def test_vmlm_graph_is_freed_before_the_anchor_forward(
@@ -498,11 +530,24 @@ def test_vmlm_graph_is_freed_before_the_anchor_forward(
 
 
 def test_clone_params_is_independent(mini_base):
-    clone = tr.clone_params(mini_base)
-    clone.tensors["embed"].data = clone.tensors["embed"].data + 1.0
-    assert not np.array_equal(
-        clone.tensors["embed"].data, mini_base.tensors["embed"].data
-    )
+    source = tr.clone_params(mini_base)
+    clone = tr.clone_params(source)
+    assert source.extra_names() == source.trainable_names()
+    for name, t in source.tensors.items():
+        c = clone.tensors[name]
+        assert c.requires_grad == t.requires_grad
+        assert c.data.tobytes() == t.data.tobytes()
+        # frozen arrays are shared; trainable ones are copies
+        if t.requires_grad:
+            assert not np.shares_memory(c.data, t.data), name
+        else:
+            assert c.data is t.data, name
+    # rebinding either side leaves the other as it was
+    for a, b in ((clone, source), (source, clone)):
+        for name in ("embed", "proj.w"):
+            before = b.tensors[name].data.tobytes()
+            a.tensors[name].data = a.tensors[name].data + 1.0
+            assert b.tensors[name].data.tobytes() == before, name
 
 
 def test_train_never_reads_gold_annotations(mini_world, mini_base):
