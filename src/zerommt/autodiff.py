@@ -1,12 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Small op surface, just enough for a toy transformer: primitives (matmul,
-elementwise arithmetic, ReLU/exp/log, stable softmax / log-softmax,
-reshape, transpose, embedding lookup, concatenation, gather) and one node
-per layer (``linear``, ``mlp``, multi-head ``attention``, ``layer_norm``).
+Small op surface, just enough for a toy transformer: primitives
+(elementwise arithmetic, ReLU/exp/log, stable softmax / log-softmax,
+reshape, embedding lookup, concatenation, gather) and one node per layer
+(``linear``, ``mlp``, multi-head ``attention``, ``layer_norm``).
 ``linear``, ``mlp`` and ``attention`` run the numpy calls of the primitive
-chains they replace, in the same order, so their numbers are those chains'
-bit for bit.
+chains they replace (matmul, transpose and the ops here; the tests keep
+those chains as oracles), in the same order, so their numbers are those
+chains' bit for bit.
 
 The tape holds gradient routes, not tensors. A recorded op output gets a
 small node (its gradient, its parents' nodes, its closure); a leaf is its
@@ -179,16 +180,8 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    return add(a, neg(b))
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g, na):
-        _accumulate(na, -g)
-
-    return _make(-a.data, (a,), bwd)
+    # IEEE negation is multiplication by -1.0, in the data and the gradient
+    return add(a, scale(b, -1.0))
 
 
 def mul(a, b) -> Tensor:
@@ -218,50 +211,6 @@ def scale(a, s: float) -> Tensor:
         _accumulate(na, g * s)
 
     return _make(a.data * s, (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# matmul
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; the leading (batch) axes
-    broadcast as in numpy.
-
-    A 2-D weight ``b`` serves any number of leading axes of ``a``, and a
-    batch-1 operand serves a batch of n. Backward sums each gradient back
-    to its operand's shape. The layer nodes below route their gradients
-    exactly as chains of this primitive do.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as e:
-        raise ShapeError(
-            f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}") from e
-    a_shape, b_shape = a.shape, b.shape
-    a_data = a.data if b.requires_grad else None
-    b_data = b.data if a.requires_grad else None
-
-    def bwd(g, na, nb):
-        if na is not None:
-            _accumulate(na, _unbroadcast(
-                np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
-        if nb is None:
-            return
-        if len(b_shape) == 2:
-            gb = np.matmul(
-                a_data.reshape(-1, a_shape[-1]).T, g.reshape(-1, g.shape[-1])
-            )
-        else:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)
-        _accumulate(nb, gb)
-
-    return _make(data, (a, b), bwd)
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
@@ -568,17 +517,6 @@ def reshape(a, shape) -> Tensor:
         _accumulate(na, g.reshape(a_shape))
 
     return _make(a.data.reshape(shape), (a,), bwd)
-
-
-def transpose(a, axes) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def bwd(g, na):
-        _accumulate(na, g.transpose(inv))
-
-    return _make(a.data.transpose(axes), (a,), bwd)
 
 
 def gather(a, idx: np.ndarray) -> Tensor:

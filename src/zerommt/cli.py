@@ -88,7 +88,10 @@ def load_config(path: str | None, seed: int | None) -> RunConfig:
         config = RunConfig()
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}: config is not JSON: {e}") from e
         config = _fill_dataclass(RunConfig, raw, "config")
     if seed is not None:
         config.world.seed = seed

@@ -132,18 +132,16 @@ def _model_step_fn(
     params: ModelParams,
     source: list[int],
     image: np.ndarray | None,
-    use_extras: bool,
 ) -> StepFn:
-    """Next-token distributions of ``params`` for ``source``: one batch-1
-    encoding that every step's prefixes read; both passes run tape-free."""
-    if use_extras and image is None:
-        raise ValueError(m.IMAGE_REQUIRED)
+    """Next-token distributions of ``params`` for ``source`` (multimodal
+    with ``image``, the text-only base without): one batch-1 encoding that
+    every step's prefixes read; both passes run tape-free."""
     with ad.no_grad():
-        enc = m.encode(source, image, params, use_extras=use_extras)
+        enc = m.encode(source, image, params)
 
     def step(prefixes: list[tuple[int, ...]]) -> np.ndarray:
         with ad.no_grad():
-            return m.decode_step(enc, prefixes, params, use_extras=use_extras)
+            return m.decode_step(enc, prefixes, params)
 
     return step
 
@@ -153,14 +151,12 @@ def beam_search(
     source: list[int],
     image: np.ndarray | None = None,
     width: int = 4,
-    use_extras: bool = True,
 ) -> Hypothesis:
     """Translate one source sentence with plain beam search, up to the
-    model's ``max_len`` tokens."""
-    return beam_search_steps(
-        _model_step_fn(params, source, image, use_extras), width,
-        params.config.max_len,
-    )
+    model's ``max_len`` tokens: the multimodal model with ``image``, the
+    text-only base (extras off) without."""
+    return beam_search_steps(_model_step_fn(params, source, image), width,
+                             params.config.max_len)
 
 
 def cfg_beam_search(
@@ -177,16 +173,18 @@ def cfg_beam_search(
 
     The endpoints run one model alone and reproduce its beam search bit for
     bit: the base (extras off) at gamma = 0, where the image is never read,
-    and the multimodal model at gamma = 1.
+    and the multimodal model at gamma = 1. Any other gamma needs the image.
     """
     if base_params.config.vocab_size != mm_params.config.vocab_size:
         raise ValueError("base and multimodal models must share the vocabulary")
+    if gamma != 0.0 and image is None:
+        raise ValueError(m.IMAGE_REQUIRED)
     max_len = mm_params.config.max_len
     # each model is encoded only where the blend reads it
     if gamma != 1.0:
-        text_step = _model_step_fn(base_params, source, None, use_extras=False)
+        text_step = _model_step_fn(base_params, source, None)
     if gamma != 0.0:
-        mm_step = _model_step_fn(mm_params, source, image, use_extras=True)
+        mm_step = _model_step_fn(mm_params, source, image)
     if gamma == 0.0:
         return beam_search_steps(text_step, width, max_len)
     if gamma == 1.0:

@@ -71,11 +71,9 @@ class EvalReport:
 
 
 class _ModelScorer:
-    """Teacher-forced softmax of one model, with the image and the extras
-    both used or both ignored; sequences of one shape share one unpadded
-    forward."""
-
-    use_extras = True
+    """Teacher-forced softmax of one model; the images given pick it (see
+    ``model.teacher_forced_rows``), and sequences of one shape share one
+    unpadded forward."""
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -84,7 +82,7 @@ class _ModelScorer:
         """One (len(tgt) - 1, V) array of next-token distributions per
         (source, image, target), from ``model.teacher_forced_rows``."""
         return m.teacher_forced_rows(self.params, srcs, images, tgts,
-                                     self.use_extras, ad.softmax)
+                                     ad.softmax)
 
 
 class TextOnlyScorer(_ModelScorer):
@@ -92,11 +90,17 @@ class TextOnlyScorer(_ModelScorer):
     (source, target) is scored once, so sequences that differ only in
     their image get the very same distributions."""
 
-    use_extras = False
+    def distributions(self, srcs, images, tgts) -> list[np.ndarray]:
+        return super().distributions(srcs, None, tgts)
 
 
 class MultimodalScorer(_ModelScorer):
-    """Adapted model: image and extras."""
+    """Adapted model: image and extras; every sequence needs its image."""
+
+    def distributions(self, srcs, images, tgts) -> list[np.ndarray]:
+        if images is None:
+            raise ValueError(m.IMAGE_REQUIRED)
+        return super().distributions(srcs, images, tgts)
 
 
 class CfgScorer:

@@ -24,7 +24,7 @@ from .autodiff import Tensor
 PAD, BOS, EOS, MASK = 0, 1, 2, 3
 SPECIAL_TOKENS = {"pad": PAD, "bos": BOS, "eos": EOS, "mask": MASK}
 
-# the one message for a sequence the extras would read without an image
+# the one message for a multimodal pass given a sequence without an image
 IMAGE_REQUIRED = "every sequence needs an image with the extras on"
 
 CHECKPOINT_MAGIC = b"ZMMT"
@@ -109,13 +109,15 @@ class ModelParams:
 
 @dataclass
 class EncoderStates:
-    """Encoder output (B, S, d_model) and the (B, S) mask of what decoder
-    cross-attention may read: the real text positions, never the visual
-    one or padding. A batch-1 encoding serves any number of decoder rows,
-    since cross-attention broadcasts it over them."""
+    """Encoder output (B, S, d_model), the (B, S) mask of what decoder
+    cross-attention may read (the real text positions, never the visual
+    one or padding) and whether the extras ran: the decoder runs the model
+    that made the encoding. A batch-1 encoding serves any number of decoder
+    rows, since cross-attention broadcasts it over them."""
 
     states: Tensor
     text_valid: np.ndarray
+    extras: bool
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -123,15 +125,24 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def build_model(config: ModelConfig, seed: int) -> ModelParams:
-    """Initialize all parameters, deterministically in ``seed``.
+def _init_extra(name: str, shape, config: ModelConfig,
+                rng: np.random.Generator) -> np.ndarray:
+    """The one init policy of the extras. Adapter down-projections and the
+    visual projector weight get scaled uniform noise (the projector's not
+    zero: a zero ReLU pre-activation would never receive gradient under the
+    subgradient-0 convention); every other extra starts at zero, so fresh
+    adapters are an exact pass-through."""
+    if name.endswith(".down_w"):
+        return _uniform(rng, shape, config.d_model)
+    if name == "proj.w":
+        return _uniform(rng, shape, config.image_dim)
+    return np.zeros(shape)
 
-    Base weights get scaled uniform noise. Adapter up-projections start at
-    zero so the multimodal model is an exact pass-through of the base when
-    no image is injected. The visual projector weight starts at small noise
-    (not zero: a zero ReLU pre-activation would never receive gradient
-    under the subgradient-0 convention).
-    """
+
+def build_model(config: ModelConfig, seed: int) -> ModelParams:
+    """Initialize all parameters, deterministically in ``seed``: base
+    weights get scaled uniform noise, the extras ``_init_extra``'s, drawn
+    from the same generator in parameter order."""
     config.validate()
     rng = np.random.default_rng(seed)
     d, v, f, r = config.d_model, config.vocab_size, config.d_ffn, config.adapter_dim
@@ -142,8 +153,9 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
         tensors[name] = Tensor(arr)
         is_extra[name] = False
 
-    def extra(name: str, arr: np.ndarray) -> None:
-        tensors[name] = Tensor(arr, requires_grad=True)
+    def extra(name: str, shape) -> None:
+        tensors[name] = Tensor(_init_extra(name, shape, config, rng),
+                               requires_grad=True)
         is_extra[name] = True
 
     base("embed", _uniform(rng, (v, d), d))
@@ -167,10 +179,10 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
         base(f"{prefix}.b2", np.zeros(d))
 
     def adapter(prefix: str) -> None:
-        extra(f"{prefix}.down_w", _uniform(rng, (d, r), d))
-        extra(f"{prefix}.down_b", np.zeros(r))
-        extra(f"{prefix}.up_w", np.zeros((r, d)))
-        extra(f"{prefix}.up_b", np.zeros(d))
+        extra(f"{prefix}.down_w", (d, r))
+        extra(f"{prefix}.down_b", (r,))
+        extra(f"{prefix}.up_w", (r, d))
+        extra(f"{prefix}.up_b", (d,))
 
     for l in range(config.n_layers_enc):
         ln(f"enc{l}.ln1")
@@ -196,8 +208,8 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
     base("head_w", _uniform(rng, (d, v), d))
     base("head_b", np.zeros(v))
 
-    extra("proj.w", _uniform(rng, (config.image_dim, d), config.image_dim))
-    extra("proj.b", np.zeros(d))
+    extra("proj.w", (config.image_dim, d))
+    extra("proj.b", (d,))
 
     params = ModelParams(config=config, tensors=tensors, is_extra=is_extra)
     params.freeze_base()
@@ -205,18 +217,14 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
 
 
 def reinit_extras(params: ModelParams, seed: int) -> None:
-    """Redraw the extras exactly as ``build_model`` would, from ``seed``."""
+    """Redraw the extras by ``build_model``'s policy (``_init_extra``), in
+    its order, from a fresh generator seeded with ``seed``. The noise is
+    not ``build_model``'s at that seed, whose generator draws the base
+    weights first."""
     rng = np.random.default_rng(seed)
-    cfg = params.config
-    d, r = cfg.d_model, cfg.adapter_dim
     for name in params.extra_names():
         t = params.tensors[name]
-        if name.endswith(".down_w"):
-            t.data = _uniform(rng, (d, r), d)
-        elif name == "proj.w":
-            t.data = _uniform(rng, (cfg.image_dim, d), cfg.image_dim)
-        else:
-            t.data = np.zeros_like(t.data)
+        t.data = _init_extra(name, t.data.shape, params.config, rng)
 
 
 def randomize_extras(params: ModelParams, seed: int, scale: float = 0.05) -> None:
@@ -305,10 +313,10 @@ def encode_batch(
     src_ids: np.ndarray,
     src_valid: np.ndarray,
     images: np.ndarray | None,
-    use_extras: bool = True,
     attn_sink: dict | None = None,
 ) -> EncoderStates:
-    """Encode a padded batch. ``images`` is (B, image_dim) or None."""
+    """Encode a padded batch. ``images`` (B, image_dim) adds the visual
+    token and runs the extras; None runs the frozen text-only base."""
     cfg = params.config
     p = params.tensors
     b, s = src_ids.shape
@@ -319,7 +327,8 @@ def encode_batch(
     x = ad.add(x, ad.embedding(p["pos_embed"], np.arange(s)))
     text_valid = src_valid
     self_valid = src_valid
-    if images is not None:
+    extras = images is not None
+    if extras:
         # the visual token gets no positional encoding
         vis = ad.reshape(project_image(images, params), (b, 1, cfg.d_model))
         x = ad.concat([vis, x], axis=1)
@@ -335,15 +344,15 @@ def encode_batch(
             params, f"enc{l}.attn", normed, normed, self_mask,
             attn_sink=attn_sink,
         )
-        if use_extras:
+        if extras:
             h = _adapter(params, f"enc{l}.attn_adapter", h)
         x = ad.add(x, h)
         h = _ffn(params, f"enc{l}.ffn", _ln(params, f"enc{l}.ln2", x))
-        if use_extras:
+        if extras:
             h = _adapter(params, f"enc{l}.ffn_adapter", h)
         x = ad.add(x, h)
     x = _ln(params, "enc_ln", x)
-    return EncoderStates(states=x, text_valid=text_valid)
+    return EncoderStates(states=x, text_valid=text_valid, extras=extras)
 
 
 def decoder_logits(
@@ -351,10 +360,10 @@ def decoder_logits(
     enc: EncoderStates,
     tgt_in: np.ndarray,
     tgt_valid: np.ndarray,
-    use_extras: bool = True,
     attn_sink: dict | None = None,
 ) -> Tensor:
-    """Teacher-forced decoder pass: logits (B, T, V) for every position."""
+    """Teacher-forced decoder pass: logits (B, T, V) for every position,
+    with the extras on exactly where they made ``enc``."""
     cfg = params.config
     p = params.tensors
     b, t = tgt_in.shape
@@ -371,77 +380,74 @@ def decoder_logits(
             params, f"dec{l}.self", normed, normed, self_mask,
             attn_sink=attn_sink,
         )
-        if use_extras:
+        if enc.extras:
             h = _adapter(params, f"dec{l}.self_adapter", h)
         y = ad.add(y, h)
         h = _multi_head_attention(
             params, f"dec{l}.cross", _ln(params, f"dec{l}.ln2", y),
             enc.states, cross_mask, attn_sink=attn_sink,
         )
-        if use_extras:
+        if enc.extras:
             h = _adapter(params, f"dec{l}.cross_adapter", h)
         y = ad.add(y, h)
         h = _ffn(params, f"dec{l}.ffn", _ln(params, f"dec{l}.ln3", y))
-        if use_extras:
+        if enc.extras:
             h = _adapter(params, f"dec{l}.ffn_adapter", h)
         y = ad.add(y, h)
     y = _ln(params, "dec_ln", y)
     return ad.linear(y, p["head_w"], p["head_b"])
 
 
-def _float_images(images, use_extras: bool) -> list[np.ndarray] | None:
-    """``images`` as float64 arrays with the extras on, where a missing one
-    raises ``IMAGE_REQUIRED``; None with them off, where they are never
-    read."""
-    if not use_extras:
+def _float_images(images) -> list[np.ndarray] | None:
+    """``images`` as float64 arrays, or None for None (the text-only base);
+    a list missing one raises ``IMAGE_REQUIRED``."""
+    if images is None:
         return None
-    if images is None or any(i is None for i in images):
+    if any(i is None for i in images):
         raise ValueError(IMAGE_REQUIRED)
     return [np.asarray(i, dtype=np.float64) for i in images]
 
 
-def _padded_batch(srcs, images, tgts, use_extras: bool):
+def _padded_batch(srcs, images, tgts):
     """The arrays of a teacher-forced forward: ``srcs`` padded with their
-    mask, the images stacked as float64 (``_float_images``; None with the
-    extras off) and the BOS-led ``tgts`` but their last tokens, padded with
-    their mask."""
-    floats = _float_images(images, use_extras)
+    mask, the images stacked as float64 (``_float_images``) and the BOS-led
+    ``tgts`` but their last tokens, padded with their mask."""
+    floats = _float_images(images)
     src_ids, src_valid = pad_batch(srcs)
     tgt_in, tgt_valid = pad_batch([t[:-1] for t in tgts])
     stacked = None if floats is None else np.stack(floats)
     return src_ids, src_valid, stacked, tgt_in, tgt_valid
 
 
-def teacher_forced_logits(params: ModelParams, srcs, images, tgts,
-                          use_extras: bool = True) -> Tensor:
+def teacher_forced_logits(params: ModelParams, srcs, images, tgts) -> Tensor:
     """The one teacher-forced forward of a (source, image, target) batch:
     logits (B, T, V) after each BOS-led target's tokens but its last, with
-    sources and targets right-padded. With the extras off ``images`` is
-    never read and may be None."""
+    sources and targets right-padded. ``images`` None runs the text-only
+    base."""
     src_ids, src_valid, stacked, tgt_in, tgt_valid = _padded_batch(
-        srcs, images, tgts, use_extras)
-    enc = encode_batch(params, src_ids, src_valid, stacked, use_extras=use_extras)
-    return decoder_logits(params, enc, tgt_in, tgt_valid, use_extras=use_extras)
+        srcs, images, tgts)
+    enc = encode_batch(params, src_ids, src_valid, stacked)
+    return decoder_logits(params, enc, tgt_in, tgt_valid)
 
 
 def teacher_forced_rows(params: ModelParams, srcs, images, tgts,
-                        use_extras: bool, normalize) -> list[np.ndarray]:
+                        normalize) -> list[np.ndarray]:
     """``normalize`` (``ad.softmax`` or ``ad.log_softmax``) of the
     teacher-forced logits, tape-free: one (len(tgt) - 1, V) array per
     sequence, in input order.
 
     One forward per (source length, target length) leaves no padding. It
     encodes each distinct encoder input of the bucket once (the source,
-    plus its image's bytes with the extras on) and every target reads its
-    input's states by index. numpy computes each batch item apart, so the
-    rows equal the unshared forward of the bucket bit for bit, except that
-    a bucket of one distinct image projects it as a one-row product. With
-    the extras off, each distinct (source, target) is decoded once and
-    matches its forward alone bit for bit."""
-    floats = _float_images(images, use_extras)
+    plus its image's bytes where images are given) and every target reads
+    its input's states by index. numpy computes each batch item apart, so
+    the rows equal the unshared forward of the bucket bit for bit, except
+    that a bucket of one distinct image projects it as a one-row product.
+    With ``images`` None (the text-only base), each distinct (source,
+    target) is decoded once and matches its forward alone bit for bit."""
+    floats = _float_images(images)
     inputs = [tuple(x) if floats is None else (tuple(x), floats[k].tobytes())
               for k, x in enumerate(srcs)]
-    keys = [k if use_extras else (inputs[k], tuple(y))
+    keys = [(inputs[k], tuple(y)) if floats is None else k
             for k, y in enumerate(tgts)]
     # (source length, target length) -> {key: index of its first sequence}
     buckets: dict[tuple[int, int], dict] = {}
@@ -459,14 +465,12 @@ def teacher_forced_rows(params: ModelParams, srcs, images, tgts,
             src_ids, src_valid, stacked, tgt_in, tgt_valid = _padded_batch(
                 [srcs[k] for k in firsts_in],
                 None if floats is None else [floats[k] for k in firsts_in],
-                [tgts[k] for k in seqs], use_extras)
-            states = encode_batch(params, src_ids, src_valid, stacked,
-                                  use_extras=use_extras)
+                [tgts[k] for k in seqs])
+            states = encode_batch(params, src_ids, src_valid, stacked)
             # target b reads its input's encoding, gathered off the tape
             shared = EncoderStates(Tensor(states.states.data[reads]),
-                                   states.text_valid[reads])
-            logits = decoder_logits(params, shared, tgt_in, tgt_valid,
-                                    use_extras=use_extras)
+                                   states.text_valid[reads], states.extras)
+            logits = decoder_logits(params, shared, tgt_in, tgt_valid)
             rows.update(zip(firsts, normalize(logits, axis=-1).data))
     return [rows[key] for key in keys]
 
@@ -480,18 +484,16 @@ def encode(
     x: list[int],
     i: np.ndarray | None,
     params: ModelParams,
-    use_extras: bool = True,
 ) -> EncoderStates:
     ids, valid = pad_batch([x])
     images = None if i is None else np.asarray([i], dtype=np.float64)
-    return encode_batch(params, ids, valid, images, use_extras=use_extras)
+    return encode_batch(params, ids, valid, images)
 
 
 def decode_step(
     enc: EncoderStates,
     prefixes: Sequence[Sequence[int]],
     params: ModelParams,
-    use_extras: bool = True,
     attn_sink: dict | None = None,
 ) -> np.ndarray:
     """Next-token probabilities (n, V), one row per prefix, for n BOS-led
@@ -517,9 +519,7 @@ def decode_step(
                          f"{enc.states.shape[0]} != 1")
     ids = np.asarray(prefixes, dtype=np.int64)
     valid = np.ones_like(ids, dtype=bool)
-    logits = decoder_logits(
-        params, enc, ids, valid, use_extras=use_extras, attn_sink=attn_sink
-    )
+    logits = decoder_logits(params, enc, ids, valid, attn_sink=attn_sink)
     return ad.softmax(logits, axis=-1).data[:, -1]
 
 
@@ -586,9 +586,11 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a ``save_checkpoint`` file; a malformed one raises ValueError
-    naming ``path`` and, where it applies, the tensor or config key, and
-    one whose tensor bytes do not hash to the header's sha256 raises too."""
+    """Read a ``save_checkpoint`` file; a malformed one (a header that is
+    not JSON or lacks a key, a config ``ModelConfig.validate`` rejects)
+    raises ValueError naming ``path`` and, where it applies, the tensor or
+    config key, and one whose tensor bytes do not hash to the header's
+    sha256 raises too."""
     with open(path, "rb") as fh:
 
         def read(n: int, what: str) -> bytes:
@@ -604,10 +606,21 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         version, hlen = struct.unpack("<II", read(8, "the header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(read(hlen, "the header").decode("utf-8"))
+        try:
+            header = json.loads(read(hlen, "the header").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ValueError(f"{path}: header is not JSON: {e}") from e
+        missing = [k for k in ("config", "meta", "tensors")
+                   if not isinstance(header, dict) or k not in header]
+        if missing:
+            raise ValueError(f"{path}: header without {missing}")
         reject_unknown_keys(ModelConfig, header["config"],
                             f"{path}: unknown model config keys")
         config = ModelConfig(**header["config"])
+        try:
+            config.validate()
+        except ValueError as e:
+            raise ValueError(f"{path}: invalid model config: {e}") from e
         tensors: dict[str, Tensor] = {}
         is_extra: dict[str, bool] = {}
         digest = hashlib.sha256()

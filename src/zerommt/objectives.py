@@ -101,15 +101,14 @@ def _teacher_forced(
     token weights (B, T), zero on padding.
 
     ``masked`` replaces each example's ``mask_set`` with MASK in the
-    source; ``multimodal`` feeds the images and switches the extras on
+    source; ``multimodal`` feeds the images, which switches the extras on
     (off, the pass is the text-only base).
     """
     srcs = [[MASK if masked and j in ex.mask_set else tok
              for j, tok in enumerate(ex.src)] for ex in examples]
-    logits = teacher_forced_logits(
-        params, srcs, [ex.image for ex in examples],
-        [ex.tgt for ex in examples], use_extras=multimodal,
-    )
+    images = [ex.image for ex in examples] if multimodal else None
+    logits = teacher_forced_logits(params, srcs, images,
+                                   [ex.tgt for ex in examples])
     tgt_out, valid = pad_batch([ex.tgt[1:] for ex in examples])
     return ad.log_softmax(logits, axis=-1), tgt_out, valid.astype(np.float64)
 
@@ -214,7 +213,7 @@ def base_teacher_logprobs(
     """
     return teacher_forced_rows(
         frozen_params, [ex.src for ex in examples], None,
-        [ex.tgt for ex in examples], False, ad.log_softmax)
+        [ex.tgt for ex in examples], ad.log_softmax)
 
 
 def _padded_base_logprobs(

@@ -400,9 +400,7 @@ def pseudo_translate(
     out: list[Example] = []
     for ex in examples:
         ex = annotate(world, ex)
-        hyp = decoding.beam_search(
-            base_params, ex.src, image=None, width=width, use_extras=False
-        )
+        hyp = decoding.beam_search(base_params, ex.src, image=None, width=width)
         if not hyp.finished:
             report.n_dropped += 1
             continue
@@ -443,27 +441,36 @@ def write_examples(path, examples: list[Example]) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def read_examples(path) -> list[Example]:
-    out: list[Example] = []
+def _read_jsonl(path, parse) -> list:
+    """``parse`` of the JSON object on each nonblank line of ``path``, in
+    order; a line that is not JSON or that ``parse`` rejects raises
+    ValueError ``<path>: malformed line N``."""
+    out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                img = obj.get("img")
-                ex = Example(
-                    id=int(obj["id"]),
-                    src=[int(t) for t in obj["src"]],
-                    tgt=[int(t) for t in obj["tgt"]],
-                    image=None if img is None else np.asarray(img, dtype=np.float64),
-                )
-                BatchExample(ex.src, ex.tgt).validate()
-                out.append(ex)
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
+                out.append(parse(json.loads(line)))
+            except (KeyError, ValueError, TypeError) as e:
                 raise ValueError(f"{path}: malformed line {lineno}: {e}") from e
     return out
+
+
+def read_examples(path) -> list[Example]:
+    def parse(obj: dict) -> Example:
+        img = obj.get("img")
+        ex = Example(
+            id=int(obj["id"]),
+            src=[int(t) for t in obj["src"]],
+            tgt=[int(t) for t in obj["tgt"]],
+            image=None if img is None else np.asarray(img, dtype=np.float64),
+        )
+        BatchExample(ex.src, ex.tgt).validate()
+        return ex
+
+    return _read_jsonl(path, parse)
 
 
 def check_fit(path, records, config: ModelConfig) -> None:
@@ -508,28 +515,20 @@ def write_contrastive(path, instances: list[ContrastiveInstance]) -> None:
 
 
 def read_contrastive(path) -> list[ContrastiveInstance]:
-    out: list[ContrastiveInstance] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                inst = ContrastiveInstance(
-                    id=int(obj["id"]),
-                    src=[int(t) for t in obj["src"]],
-                    img_a=np.asarray(obj["img_a"], dtype=np.float64),
-                    tgt_a=[int(t) for t in obj["tgt_a"]],
-                    img_b=np.asarray(obj["img_b"], dtype=np.float64),
-                    tgt_b=[int(t) for t in obj["tgt_b"]],
-                )
-                for tgt in (inst.tgt_a, inst.tgt_b):
-                    BatchExample(inst.src, tgt).validate()
-                out.append(inst)
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-                raise ValueError(f"{path}: malformed line {lineno}: {e}") from e
-    return out
+    def parse(obj: dict) -> ContrastiveInstance:
+        inst = ContrastiveInstance(
+            id=int(obj["id"]),
+            src=[int(t) for t in obj["src"]],
+            img_a=np.asarray(obj["img_a"], dtype=np.float64),
+            tgt_a=[int(t) for t in obj["tgt_a"]],
+            img_b=np.asarray(obj["img_b"], dtype=np.float64),
+            tgt_b=[int(t) for t in obj["tgt_b"]],
+        )
+        for tgt in (inst.tgt_a, inst.tgt_b):
+            BatchExample(inst.src, tgt).validate()
+        return inst
+
+    return _read_jsonl(path, parse)
 
 
 def world_to_dict(world: World) -> dict:

@@ -1,6 +1,8 @@
 """Reference computations the tests compare the program against: central
-finite differences of any op, and an adaptation objective summed into one
-tensor (training backpropagates its terms one at a time instead)."""
+finite differences of any op, the matmul and transpose primitives that the
+``linear``, ``mlp`` and ``attention`` nodes replace (their reference chains
+are built from them), and an adaptation objective summed into one tensor
+(training backpropagates its terms one at a time instead)."""
 
 from __future__ import annotations
 
@@ -10,7 +12,59 @@ import numpy as np
 
 from zerommt import autodiff as ad
 from zerommt import objectives as obj
-from zerommt.autodiff import Tensor
+from zerommt.autodiff import (ShapeError, Tensor, _accumulate, _as_tensor,
+                              _make, _unbroadcast)
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; the leading (batch) axes
+    broadcast as in numpy.
+
+    A 2-D weight ``b`` serves any number of leading axes of ``a``, and a
+    batch-1 operand serves a batch of n. Backward sums each gradient back
+    to its operand's shape. The layer nodes route their gradients exactly
+    as chains of this primitive do.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    try:
+        data = np.matmul(a.data, b.data)
+    except ValueError as e:
+        raise ShapeError(
+            f"matmul: batch dims do not broadcast, {a.shape} @ {b.shape}") from e
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+
+    def bwd(g, na, nb):
+        if na is not None:
+            _accumulate(na, _unbroadcast(
+                np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
+        if nb is None:
+            return
+        if len(b_shape) == 2:
+            gb = np.matmul(
+                a_data.reshape(-1, a_shape[-1]).T, g.reshape(-1, g.shape[-1])
+            )
+        else:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)
+        _accumulate(nb, gb)
+
+    return _make(data, (a, b), bwd)
+
+
+def transpose(a, axes) -> Tensor:
+    a = _as_tensor(a)
+    axes = tuple(axes)
+    inv = tuple(np.argsort(axes))
+
+    def bwd(g, na):
+        _accumulate(na, g.transpose(inv))
+
+    return _make(a.data.transpose(axes), (a,), bwd)
 
 
 def grad_check(

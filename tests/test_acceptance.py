@@ -209,7 +209,7 @@ def test_exact_identities(pipeline, runs, report):
     # self-divergence: anchoring the adapted model to its own distributions
     ex = pipeline.data.mmt_train[0]
     bex = obj.BatchExample(src=ex.src, tgt=ex.tgt, image=ex.image)
-    enc = m.encode(ex.src, ex.image, full, use_extras=True)
+    enc = m.encode(ex.src, ex.image, full)
     ids = np.asarray([ex.tgt[:-1]], dtype=np.int64)
     own_lp = ad.log_softmax(
         m.decoder_logits(full, enc, ids, np.ones_like(ids, dtype=bool)),
@@ -286,7 +286,7 @@ def test_base_model_behavior(pipeline, report):
     matched = total = 0
     for ex in pipeline.splits.test_translation:
         hyp = dec.beam_search(pipeline.base, ex.src, image=None,
-                              width=BEAM_WIDTH, use_extras=False)
+                              width=BEAM_WIDTH)
         ref = ex.tgt[1:-1]
         total += len(ref)
         matched += sum(1 for h, r in zip(hyp.tokens, ref) if h == r)

@@ -475,6 +475,17 @@ def test_mistyped_config_values_fail_at_load_by_key(tmp_path, capsys, raw,
     assert cli.load_config(str(bad), None).train.lr == 1
 
 
+def test_config_that_is_not_json_fails_naming_its_path(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"sizes": {mmt_train: 8}}')
+    capsys.readouterr()
+    assert cli.main(["gen", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert f"{bad}: config is not JSON: Expecting property name" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "corpus").exists()
+
+
 def test_pretrain_rejects_invalid_config(run_dir, tmp_path):
     _, out = run_dir
     small = tmp_path / "out"

@@ -277,8 +277,7 @@ def test_cfg_beam_endpoints_bit_exact(tiny_params):
     src = [5, 6, 7]
     img = np.random.default_rng(4).standard_normal(tiny_params.config.image_dim)
 
-    base_hyp = dec.beam_search(tiny_params, src, image=None, width=3,
-                               use_extras=False)
+    base_hyp = dec.beam_search(tiny_params, src, image=None, width=3)
     mm_hyp = dec.beam_search(tiny_params, src, image=img, width=3)
     g0 = dec.cfg_beam_search(tiny_params, tiny_params, src, img, 0.0, width=3)
     g1 = dec.cfg_beam_search(tiny_params, tiny_params, src, img, 1.0, width=3)
@@ -295,9 +294,9 @@ def test_cfg_beam_encodes_only_the_models_it_reads(tiny_params, monkeypatch):
     encoded = []
     encode = m.encode
 
-    def counting(x, i, params, use_extras=True):
-        encoded.append(use_extras)
-        return encode(x, i, params, use_extras=use_extras)
+    def counting(x, i, params):
+        encoded.append(i is not None)
+        return encode(x, i, params)
 
     monkeypatch.setattr(m, "encode", counting)
     for gamma, want in ((0.0, [False]), (1.0, [True]), (2.0, [False, True])):
@@ -325,26 +324,53 @@ def test_cfg_beam_rejects_vocab_mismatch(tiny_params, tiny_config):
 
 
 def test_beam_search_emits_valid_translation(tiny_params):
-    hyp = dec.beam_search(tiny_params, [5, 6], image=None, width=4,
-                          use_extras=False)
+    hyp = dec.beam_search(tiny_params, [5, 6], image=None, width=4)
     assert all(0 <= t < tiny_params.config.vocab_size for t in hyp.tokens)
     assert all(t not in (m.PAD, m.BOS, m.MASK) for t in hyp.tokens)
 
 
 def test_searches_with_the_extras_on_need_an_image(tiny_params):
-    # the adapters without the visual token are an input no objective or
-    # scorer accepts; at gamma = 0 the image is never read
+    # the image picks the model: a search without one runs the text-only
+    # base, as translate does at gamma = 0, where the image is never read;
+    # any gamma that reads the multimodal model needs the image
     m.randomize_extras(tiny_params, seed=9)
     src = [5, 6, 7]
-    calls = [lambda: dec.beam_search(tiny_params, src),
-             lambda: dec.translate(tiny_params, src, None, 1.0),
-             lambda: dec.translate(tiny_params, src, None, 2.0)]
-    for call in calls:
+    for gamma in (1.0, 2.0):
+        with pytest.raises(ValueError) as err:
+            dec.translate(tiny_params, src, None, gamma)
+        assert str(err.value) == m.IMAGE_REQUIRED
+    assert dec.beam_search(tiny_params, src) == \
+        dec.translate(tiny_params, src, None, 0.0)
+    assert dec.translate(tiny_params, src, None, 0.0, width=2) == \
+        dec.beam_search(tiny_params, src, None, width=2)
+
+
+def test_multimodal_passes_without_an_image_raise(tiny_params):
+    # the multimodal scorer, objective and guided search each need every
+    # sequence's image
+    from zerommt import evaluation as ev
+    from zerommt import objectives as obj
+
+    img = np.zeros(tiny_params.config.image_dim)
+    src, tgt = [5, 6, 7], [m.BOS, 8, m.EOS]
+    batch = obj.Batch([obj.BatchExample(src, tgt, image=img),
+                       obj.BatchExample(src, tgt)])
+    calls = [
+        lambda: ev.MultimodalScorer(tiny_params).distributions(
+            [src, src], [img, None], [tgt, tgt]),
+        lambda: ev.MultimodalScorer(tiny_params).distributions(
+            [src], None, [tgt]),
+        lambda: ev.CfgScorer(ev.TextOnlyScorer(tiny_params),
+                             ev.MultimodalScorer(tiny_params),
+                             2.0).distributions([src], [None], [tgt]),
+        lambda: obj.vmlm_loss(batch, tiny_params),
+        lambda: obj.kl_penalty(batch, tiny_params),
+        lambda: dec.cfg_beam_search(tiny_params, tiny_params, src, None, 1.0),
+    ]
+    for k, call in enumerate(calls):
         with pytest.raises(ValueError) as err:
             call()
-        assert str(err.value) == m.IMAGE_REQUIRED
-    assert dec.translate(tiny_params, src, None, 0.0, width=2) == \
-        dec.beam_search(tiny_params, src, None, width=2, use_extras=False)
+        assert str(err.value) == m.IMAGE_REQUIRED, k
 
 
 def test_translate_dispatch_matches_the_searches(tiny_params):
@@ -358,8 +384,7 @@ def test_translate_dispatch_matches_the_searches(tiny_params):
         return (a.tokens, a.logp, a.finished) == (b.tokens, b.logp, b.finished)
 
     # gamma = 0: the text-only base (extras off), whatever the image
-    base_hyp = dec.beam_search(tiny_params, src, image=None, width=3,
-                               use_extras=False)
+    base_hyp = dec.beam_search(tiny_params, src, image=None, width=3)
     for image in (img, None):
         assert same(dec.translate(tiny_params, src, image, 0.0, width=3),
                     base_hyp)
@@ -406,10 +431,9 @@ def _one_prefix_search(row_fn, width, max_len, eos_id=m.EOS,
     return pool[0]
 
 
-def _one_prefix_rows(params, src, image, use_extras):
-    enc = m.encode(src, image, params, use_extras=use_extras)
-    return lambda prefix: m.decode_step(enc, [prefix], params,
-                                        use_extras=use_extras)[0]
+def _one_prefix_rows(params, src, image):
+    enc = m.encode(src, image, params)
+    return lambda prefix: m.decode_step(enc, [prefix], params)[0]
 
 
 @pytest.mark.parametrize("width", [1, 4])
@@ -423,8 +447,8 @@ def test_batched_searches_equal_one_prefix_search(tiny_params, width):
         return (h.tokens, h.logp, h.finished)
 
     for src in ([5, 6, 7], [9, 4, 12, 8, 5]):
-        text = _one_prefix_rows(tiny_params, src, None, False)
-        mm = _one_prefix_rows(tiny_params, src, img, True)
+        text = _one_prefix_rows(tiny_params, src, None)
+        mm = _one_prefix_rows(tiny_params, src, img)
         assert key(dec.beam_search(tiny_params, src, img, width=width)) == \
             key(_one_prefix_search(mm, width, max_len))
         for gamma in (0.0, 1.0, 1.5, 2.0, 3.0):

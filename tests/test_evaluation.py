@@ -282,13 +282,11 @@ def test_multimodal_scorer_requires_images(tiny_params):
 # batched scorers against a batch-1 reference forward
 
 
-def _reference_distributions(params, src, image, tgt, use_extras):
+def _reference_distributions(params, src, image, tgt):
     """The simple path: one unpadded forward per sequence, tape recorded."""
-    enc = m.encode(list(src), image if use_extras else None, params,
-                   use_extras=use_extras)
+    enc = m.encode(list(src), image, params)
     ids = np.asarray([tgt[:-1]], dtype=np.int64)
-    logits = m.decoder_logits(params, enc, ids, np.ones_like(ids, dtype=bool),
-                              use_extras=use_extras)
+    logits = m.decoder_logits(params, enc, ids, np.ones_like(ids, dtype=bool))
     return ad.softmax(logits, axis=-1).data[0]
 
 
@@ -316,9 +314,9 @@ def test_batched_scorers_match_batch_one_reference(tiny_params):
     m.randomize_extras(tiny_params, seed=17)
     n = 133
     srcs, images, tgts = _mixed_length_set(tiny_params.config, n, seed=18)
-    text_ref = [_reference_distributions(tiny_params, x, i, y, False)
-                for x, i, y in zip(srcs, images, tgts)]
-    mm_ref = [_reference_distributions(tiny_params, x, i, y, True)
+    text_ref = [_reference_distributions(tiny_params, x, None, y)
+                for x, y in zip(srcs, tgts)]
+    mm_ref = [_reference_distributions(tiny_params, x, i, y)
               for x, i, y in zip(srcs, images, tgts)]
     text = ev.TextOnlyScorer(tiny_params)
     mm = ev.MultimodalScorer(tiny_params)
@@ -376,9 +374,9 @@ def test_text_only_scorer_scores_each_pair_once(tiny_params, monkeypatch):
         assert a is b
 
 
-@pytest.mark.parametrize("use_extras", [True, False])
+@pytest.mark.parametrize("multimodal", [True, False])
 def test_each_bucket_encodes_its_distinct_inputs_once(tiny_params,
-                                                      monkeypatch, use_extras):
+                                                      monkeypatch, multimodal):
     """One encoder row per distinct input of each (source length, target
     length) bucket: the source, plus its image's bytes with the extras on."""
     m.randomize_extras(tiny_params, seed=23)
@@ -393,18 +391,18 @@ def test_each_bucket_encodes_its_distinct_inputs_once(tiny_params,
             tgt_b=[m.BOS, *src[::-1], m.EOS]))
     instances += instances[:3]  # repeated instances share their inputs too
     encoded = _count_encoded_rows(monkeypatch)
-    scorer = ev.MultimodalScorer(tiny_params) if use_extras \
+    scorer = ev.MultimodalScorer(tiny_params) if multimodal \
         else ev.TextOnlyScorer(tiny_params)
     ev.commute_rows(scorer, instances)
     # commute_rows' sequences: per orientation, its image under both targets
     inputs = {}
     for inst in instances:
         for img in (inst.img_a, inst.img_a, inst.img_b, inst.img_b):
-            key = (tuple(inst.src), img.tobytes()) if use_extras \
+            key = (tuple(inst.src), img.tobytes()) if multimodal \
                 else tuple(inst.src)
             inputs.setdefault((len(inst.src), len(inst.tgt_a)), set()).add(key)
     assert encoded == [len(keys) for keys in inputs.values()]
-    assert sum(encoded) == (24 if use_extras else 12)
+    assert sum(encoded) == (24 if multimodal else 12)
 
 
 def test_vectorised_cfg_distribution_equals_row_loop_bytewise():
@@ -450,8 +448,7 @@ def test_gamma_zero_is_the_text_only_base_bit_for_bit(tiny_params):
     want = ev.TextOnlyScorer(tiny_params).distributions([src], [None], [tgt])[0]
     assert np.array_equal(scorer.distributions([src], [img], [tgt])[0], want)
     hyp = dec.translate(tiny_params, src, img, 0.0, width=3)
-    base = dec.beam_search(tiny_params, src, image=None, width=3,
-                           use_extras=False)
+    base = dec.beam_search(tiny_params, src, image=None, width=3)
     assert (hyp.tokens, hyp.logp) == (base.tokens, base.logp)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from zerommt import model as m
+from zerommt.autodiff import Tensor
 
 
 def _example(params, src=(5, 6, 7), image=True):
@@ -97,15 +98,28 @@ def test_copy_load_extras_roundtrip(tiny_params):
 
 
 def test_fresh_extras_are_exact_passthrough(tiny_params):
-    """Zero adapter up-projections: extras change nothing without an image."""
+    """Zero adapter up-projections: every fresh adapter returns its input
+    bit for bit, so a decoder that runs the extras on a base encoding is
+    the base decoder."""
+    d = tiny_params.config.d_model
+    x = Tensor(np.random.default_rng(3).standard_normal((2, 3, d)))
+    adapters = [n[: -len(".down_w")] for n in tiny_params.extra_names()
+                if n.endswith(".down_w")]
+    assert len(adapters) == 2 * tiny_params.config.n_layers_enc \
+        + 3 * tiny_params.config.n_layers_dec
+    for prefix in adapters:
+        assert m._adapter(tiny_params, prefix, x).data.tobytes() \
+            == x.data.tobytes(), prefix
+
     src, _ = _example(tiny_params, image=False)
-    enc_base = m.encode(src, None, tiny_params, use_extras=False)
-    enc_mm = m.encode(src, None, tiny_params, use_extras=True)
-    assert np.array_equal(enc_base.states.data, enc_mm.states.data)
-    prefix = [m.BOS, 5]
-    p_base = m.decode_step(enc_base, [prefix], tiny_params, use_extras=False)
-    p_mm = m.decode_step(enc_mm, [prefix], tiny_params, use_extras=True)
-    assert np.array_equal(p_base, p_mm)
+    enc_base = m.encode(src, None, tiny_params)
+    assert enc_base.extras is False
+    marked = dataclasses.replace(enc_base, extras=True)
+    ids = np.array([[m.BOS, 5, 9]])
+    valid = np.ones_like(ids, dtype=bool)
+    base = m.decoder_logits(tiny_params, enc_base, ids, valid)
+    on = m.decoder_logits(tiny_params, marked, ids, valid)
+    assert on.data.tobytes() == base.data.tobytes()
 
 
 def test_visual_token_changes_encoder_output(tiny_params):
@@ -192,27 +206,25 @@ def test_decode_step_returns_distribution(tiny_params):
     assert np.all(probs >= 0.0)
 
 
-@pytest.mark.parametrize("use_extras", [True, False])
-def test_decode_step_rows_equal_one_prefix_calls(tiny_params, use_extras):
+@pytest.mark.parametrize("image", [True, False])
+def test_decode_step_rows_equal_one_prefix_calls(tiny_params, image):
     """Equal-length prefixes share a call, and the one batch-1 encoding,
     without padding: every row, and every attention row in the sink, is the
     one-prefix call's to the bit."""
     m.randomize_extras(tiny_params, seed=11)
-    src, img = _example(tiny_params, image=use_extras)
-    enc = m.encode(src, img, tiny_params, use_extras=use_extras)
+    src, img = _example(tiny_params, image=image)
+    enc = m.encode(src, img, tiny_params)
     prefixes = [[m.BOS, 5, 6], [m.BOS, 9, 4], [m.BOS, 5, 6], [m.BOS, 2, 15]]
     sink = {}
-    rows = m.decode_step(enc, prefixes, tiny_params,
-                         use_extras=use_extras, attn_sink=sink)
+    rows = m.decode_step(enc, prefixes, tiny_params, attn_sink=sink)
     assert rows.shape == (4, tiny_params.config.vocab_size)
     heads = tiny_params.config.n_heads
-    keys = len(src) + int(use_extras)
+    keys = len(src) + int(image)
     assert sink["dec0.self"].shape == (4, heads, 3, 3)
     assert sink["dec0.cross"].shape == (4, heads, 3, keys)
     for k, prefix in enumerate(prefixes):
         one_sink = {}
-        one = m.decode_step(enc, [prefix], tiny_params, use_extras=use_extras,
-                            attn_sink=one_sink)
+        one = m.decode_step(enc, [prefix], tiny_params, attn_sink=one_sink)
         assert rows[k].tobytes() == one[0].tobytes()
         for name, probs in one_sink.items():
             assert sink[name][k].tobytes() == probs[0].tobytes(), name
@@ -276,30 +288,46 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         m.load_checkpoint(path)
 
 
-def _with_config_key(key):
+def _with_header(edit):
+    """A corruption that rewrites the header's bytes with ``edit``."""
     def corrupt(raw: bytes) -> bytes:
         version, hlen = struct.unpack("<II", raw[4:12])
-        header = json.loads(raw[12:12 + hlen])
-        header["config"][key] = False
-        blob = json.dumps(header).encode("utf-8")
+        blob = edit(raw[12:12 + hlen])
         return (raw[:4] + struct.pack("<II", version, len(blob)) + blob
                 + raw[12 + hlen:])
 
     return corrupt
 
 
+def _with_json_header(edit):
+    """A corruption that edits the header's JSON object in place."""
+    def rewrite(blob: bytes) -> bytes:
+        header = json.loads(blob)
+        edit(header)
+        return json.dumps(header).encode("utf-8")
+
+    return _with_header(rewrite)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda raw: raw[:10], "file ends inside the header"),
     (lambda raw: raw[:-4], "file ends inside tensor 'proj.b'"),
     (lambda raw: raw + b"\x00", "trailing bytes after the last tensor"),
-    (_with_config_key("visual_positional_encoding"),
+    (_with_json_header(
+        lambda h: h["config"].update(visual_positional_encoding=False)),
      "unknown model config keys ['visual_positional_encoding']"),
     (lambda raw: raw[:-4] + bytes([raw[-4] ^ 1]) + raw[-3:],
      "payload sha256 mismatch"),
     (lambda raw: raw[:4] + struct.pack("<I", 1) + raw[8:],
      "unsupported checkpoint version 1"),
+    (_with_header(lambda blob: b"{" + blob[2:]), "header is not JSON"),
+    (_with_json_header(lambda h: h.pop("tensors")),
+     "header without ['tensors']"),
+    (_with_json_header(lambda h: h["config"].update(n_heads=3, d_model=8)),
+     "invalid model config: d_model 8 not divisible by n_heads 3"),
 ], ids=["cut_header", "cut_payload", "trailing_bytes", "unknown_config_key",
-        "flipped_payload_byte", "version_without_digest"])
+        "flipped_payload_byte", "version_without_digest", "header_not_json",
+        "header_without_tensors", "invalid_config"])
 def test_checkpoint_rejects_malformed_file(tiny_params, tmp_path, corrupt,
                                            message):
     path = tmp_path / "model.ckpt"

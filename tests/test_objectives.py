@@ -26,14 +26,15 @@ def _ex(params, src, tgt_body, seed=0, mask_set=()):
     )
 
 
-def _manual_logprobs(params, src, tgt, image, masked_src=None, use_extras=True):
+def _manual_logprobs(params, src, tgt, image, masked_src=None):
     """Per-position log-probabilities computed directly from the forward
-    pass, bypassing the loss plumbing."""
+    pass, bypassing the loss plumbing; ``image`` None is the text-only
+    base."""
     enc = m.encode(masked_src if masked_src is not None else src, image,
-                   params, use_extras=use_extras)
+                   params)
     ids = np.asarray([tgt[:-1]], dtype=np.int64)
     valid = np.ones_like(ids, dtype=bool)
-    logits = m.decoder_logits(params, enc, ids, valid, use_extras=use_extras)
+    logits = m.decoder_logits(params, enc, ids, valid)
     return ad.log_softmax(logits, axis=-1).data[0]
 
 
@@ -112,8 +113,7 @@ def test_text_nll_ignores_images_masks_and_extras(tiny_params):
     a = obj.text_nll(Batch([plain]), tiny_params).data
     b = obj.text_nll(Batch([decorated]), tiny_params).data
     assert a == b
-    lp = _manual_logprobs(tiny_params, plain.src, plain.tgt, None,
-                          use_extras=False)
+    lp = _manual_logprobs(tiny_params, plain.src, plain.tgt, None)
     gold = np.asarray(plain.tgt[1:])
     want = -lp[np.arange(len(gold)), gold].mean()
     assert abs(a - want) < 1e-12
@@ -159,8 +159,7 @@ def test_base_teacher_logprobs_equal_one_example_forwards(tiny_params):
     got = obj.base_teacher_logprobs(tiny_params, examples)
     assert len(got) == len(examples)
     for ex, lp in zip(examples, got):
-        want = _manual_logprobs(tiny_params, ex.src, ex.tgt, None,
-                                use_extras=False)
+        want = _manual_logprobs(tiny_params, ex.src, ex.tgt, None)
         assert lp.shape == want.shape
         assert lp.tobytes() == want.tobytes()
     assert obj.base_teacher_logprobs(tiny_params, []) == []

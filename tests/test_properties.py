@@ -33,14 +33,14 @@ def prefix_sets(draw):
 
 
 @given(prefix_sets(), st.booleans())
-def test_decode_step_rows_equal_one_prefix_calls(case, use_extras):
+def test_decode_step_rows_equal_one_prefix_calls(case, multimodal):
     source, prefixes = case
-    image = np.linspace(-1.0, 1.0, TINY.image_dim) if use_extras else None
+    image = np.linspace(-1.0, 1.0, TINY.image_dim) if multimodal else None
     with ad.no_grad():
-        enc = m.encode(source, image, PARAMS, use_extras=use_extras)
-        rows = m.decode_step(enc, prefixes, PARAMS, use_extras=use_extras)
+        enc = m.encode(source, image, PARAMS)
+        rows = m.decode_step(enc, prefixes, PARAMS)
         for row, prefix in zip(rows, prefixes):
-            one = m.decode_step(enc, [prefix], PARAMS, use_extras=use_extras)
+            one = m.decode_step(enc, [prefix], PARAMS)
             assert row.tobytes() == one[0].tobytes()
 
 
@@ -56,8 +56,7 @@ def test_bucketed_teacher_equals_one_example_forwards(batch):
     got = obj.base_teacher_logprobs(PARAMS, batch)
     assert len(got) == len(batch)
     for ex, lp in zip(batch, got):
-        logits = m.teacher_forced_logits(PARAMS, [ex.src], None, [ex.tgt],
-                                         use_extras=False)
+        logits = m.teacher_forced_logits(PARAMS, [ex.src], None, [ex.tgt])
         want = ad.log_softmax(logits, axis=-1).data[0]
         assert lp.tobytes() == want.tobytes()
 
@@ -80,19 +79,19 @@ def sequence_mixes(draw):
 
 @given(sequence_mixes(), st.booleans(),
        st.sampled_from([ad.softmax, ad.log_softmax]))
-def test_teacher_forced_rows_equal_one_sequence_calls(case, use_extras,
+def test_teacher_forced_rows_equal_one_sequence_calls(case, multimodal,
                                                       normalize):
     srcs, images, tgts = case
-    got = m.teacher_forced_rows(PARAMS, srcs, images, tgts, use_extras,
-                                normalize)
+    got = m.teacher_forced_rows(PARAMS, srcs, images if multimodal else None,
+                                tgts, normalize)
     assert len(got) == len(tgts)
     shared = {}
     for rows, src, image, tgt in zip(got, srcs, images, tgts):
-        logits = m.teacher_forced_logits(PARAMS, [src], [image], [tgt],
-                                         use_extras=use_extras)
+        logits = m.teacher_forced_logits(PARAMS, [src],
+                                         [image] if multimodal else None, [tgt])
         want = normalize(logits, axis=-1).data[0]
         assert rows.shape == want.shape
-        if use_extras:
+        if multimodal:
             err = np.abs(rows - want).max(axis=-1) / np.abs(want).max(axis=-1)
             assert err.max() < 1e-12
         else:
@@ -123,24 +122,24 @@ def shared_inputs(draw):
 
 @given(shared_inputs(), st.booleans(),
        st.sampled_from([ad.softmax, ad.log_softmax]))
-def test_shared_encodings_equal_unshared_forwards(case, use_extras, normalize):
+def test_shared_encodings_equal_unshared_forwards(case, multimodal, normalize):
     """Each target reads its input's one encoding. With two or more distinct
     images in a bucket, its rows equal the bucket's unshared forward bit for
     bit; a bucket of one image projects it as a one-row product, which
     rounds differently, so there the rows match one-sequence forwards within
     1e-12. Text-only rows match one-sequence forwards bit for bit."""
     srcs, images, tgts = case
-    got = m.teacher_forced_rows(PARAMS, srcs, images, tgts, use_extras,
-                                normalize)
+    got = m.teacher_forced_rows(PARAMS, srcs, images if multimodal else None,
+                                tgts, normalize)
     buckets = {}
     for k, (x, y) in enumerate(zip(srcs, tgts)):
         buckets.setdefault((len(x), len(y)), []).append(k)
     with ad.no_grad():
         for seqs in buckets.values():
-            if not use_extras:
+            if not multimodal:
                 for k in seqs:
                     alone = m.teacher_forced_logits(PARAMS, [srcs[k]], None,
-                                                    [tgts[k]], use_extras=False)
+                                                    [tgts[k]])
                     want = normalize(alone, axis=-1).data[0]
                     assert got[k].tobytes() == want.tobytes()
                 continue
@@ -166,7 +165,7 @@ long_words = st.lists(st.integers(4, VOCAB - 1), min_size=1,
 
 @given(st.lists(st.tuples(long_words, long_words), min_size=2, max_size=2),
        st.integers(0, 2**32 - 1), st.booleans())
-def test_padding_leaves_teacher_forced_logits_alone(pairs, seed, use_extras):
+def test_padding_leaves_teacher_forced_logits_alone(pairs, seed, multimodal):
     """Two triples of different lengths in one padded forward: each one's
     rows match its forward alone. The masks keep padded keys out, but the
     softmax and weighted sums still run over them, which regroups float
@@ -177,12 +176,13 @@ def test_padding_leaves_teacher_forced_logits_alone(pairs, seed, use_extras):
     images = list(np.random.default_rng(seed).standard_normal(
         (2, TINY.image_dim)))
     with ad.no_grad():
-        both = m.teacher_forced_logits(PARAMS, srcs, images, tgts,
-                                       use_extras=use_extras).data
+        both = m.teacher_forced_logits(PARAMS, srcs,
+                                       images if multimodal else None,
+                                       tgts).data
         for b in range(2):
             alone = m.teacher_forced_logits(
-                PARAMS, [srcs[b]], [images[b]], [tgts[b]],
-                use_extras=use_extras).data[0]
+                PARAMS, [srcs[b]], [images[b]] if multimodal else None,
+                [tgts[b]]).data[0]
             rows = both[b, :len(tgts[b]) - 1]
             assert np.abs(rows - alone).max() <= 1e-12 * np.abs(alone).max()
 
