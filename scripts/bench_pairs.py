@@ -1,16 +1,16 @@
 """Paired benchmark runs of two checkouts: a parent and a change.
 
 Runs ``python3 perfbench/run.py --trace 0`` in each checkout in turn, once
-per pair, flipping which side runs first every pair so that drift of the
-machine falls on both sides alike. Each run's last output line is its JSON
-summary. For every end-to-end metric of the change's ``BENCHMARK.json`` it
-prints each side's median and quartiles, the ratio of the medians, how many
-pairs the change won (in the metric's ``better`` direction) and whether
-the gap between the medians exceeds the parent's interquartile range,
-then every run's value in pair order.
+per pair and workload, flipping which side runs first every pair so that
+drift of the machine falls on both sides alike. Each run's last output line
+is its JSON summary. For each workload, and every end-to-end metric of the
+change's ``BENCHMARK.json``, it prints each side's median and quartiles,
+the ratio of the medians, how many pairs the change won (in the metric's
+``better`` direction) and whether the gap between the medians exceeds the
+parent's interquartile range, then every run's value in pair order.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload score --seed 31 --pairs 10 --seconds 30
+        --workload train score --seed 31 --pairs 10 --seconds 30
 
 Exits 1 if any run fails or reports ``correct: false``.
 """
@@ -101,28 +101,33 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", nargs="+", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    runs = {w: {"parent": [], "change": []} for w in args.workload}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            try:
-                summary = run_once(getattr(args, side), args.workload,
-                                   args.seed, args.seconds)
-            except RuntimeError as err:
-                print(f"pair {i + 1}, {side}: {err}", file=sys.stderr)
-                return 1
-            runs[side].append(summary["metrics"])
+        for workload in args.workload:
+            for side in order:
+                try:
+                    summary = run_once(getattr(args, side), workload,
+                                       args.seed, args.seconds)
+                except RuntimeError as err:
+                    print(f"pair {i + 1}, {workload}, {side}: {err}",
+                          file=sys.stderr)
+                    return 1
+                runs[workload][side].append(summary["metrics"])
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs, alternating order")
-    print(format_rows(summarize(runs["parent"], runs["change"],
-                                spec["end_to_end"])))
+    tables = []
+    for workload, sides in runs.items():
+        tables.append(f"{workload}, seed {args.seed}, {args.pairs} pairs of "
+                      f"{args.seconds:g} s runs, alternating order\n"
+                      + format_rows(summarize(sides["parent"], sides["change"],
+                                              spec["end_to_end"])))
+    print("\n\n".join(tables))
     return 0
 
 

@@ -19,6 +19,8 @@ a function that rebuilds its array from arrays its own node keeps anyway,
 with the forward's numpy calls in the forward's order. ``linear`` and
 ``mlp`` keep such an input's recipe instead of its array and rebuild it in
 their backward, so these outputs too are freed with the caller's tensor.
+The first consumer's backward builds the array, the others read that one,
+and it dies with the last of them.
 Everything is float64 and fully deterministic: two
 identical forward+backward passes produce bit-identical numbers.
 ``backward`` consumes the graph it walks: nodes are freed as their
@@ -131,8 +133,23 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward,
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(tuple(_route(p) for p in parents), backward)
-        out._recipe = recipe
+        out._recipe = None if recipe is None else _built_once(recipe)
     return out
+
+
+def _built_once(build: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
+    """A recipe that calls ``build`` on its first call and returns that
+    array on every later one, so the consumers of an output rebuild it once
+    between them. The array dies with the recipe: with the output tensor
+    and the last consumer closure that keeps it."""
+    built: list[np.ndarray] = []
+
+    def recipe() -> np.ndarray:
+        if not built:
+            built.append(build())
+        return built[0]
+
+    return recipe
 
 
 def _keep(t: Tensor) -> np.ndarray | Callable[[], np.ndarray]:

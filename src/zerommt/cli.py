@@ -66,10 +66,7 @@ def _fill_dataclass(cls, obj, path: str):
         if sub is not None:
             kwargs[key] = _fill_dataclass(sub, value, f"{path}.{key}")
             continue
-        want = type(getattr(defaults, key))
-        if type(value) is not want and (want, type(value)) != (float, int):
-            raise ValueError(f"{path}.{key} must be {want.__name__}, got "
-                             f"{json.dumps(value)}")
+        m.check_json_type(getattr(defaults, key), value, f"{path}.{key}")
         kwargs[key] = value
     return cls(**kwargs)
 

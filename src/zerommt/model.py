@@ -553,6 +553,23 @@ def reject_unknown_keys(cls, obj: dict, message: str) -> None:
         raise ValueError(f"{message} {sorted(unknown)}")
 
 
+def check_json_type(default, value, where: str) -> None:
+    """Raise ValueError naming ``where`` unless the JSON value ``value`` has
+    the type of the field default ``default`` (an int may stand for a
+    float)."""
+    want = type(default)
+    if type(value) is not want and (want, type(value)) != (float, int):
+        raise ValueError(f"{where} must be {want.__name__}, got "
+                         f"{json.dumps(value)}")
+
+
+def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    """Raise ValueError if ``obj`` is not a JSON object with all ``keys``."""
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise ValueError(f"{what} without {missing}")
+
+
 def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None:
     names = list(params.tensors)
     # the payload in file order, hashed and written without a joined copy
@@ -590,7 +607,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     not JSON or lacks a key, a config ``ModelConfig.validate`` rejects)
     raises ValueError naming ``path`` and, where it applies, the tensor or
     config key, and one whose tensor bytes do not hash to the header's
-    sha256 raises too."""
+    sha256 raises too. Config values must have their defaults' JSON types,
+    as in a run config."""
     with open(path, "rb") as fh:
 
         def read(n: int, what: str) -> bytes:
@@ -610,12 +628,13 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             header = json.loads(read(hlen, "the header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ValueError(f"{path}: header is not JSON: {e}") from e
-        missing = [k for k in ("config", "meta", "tensors")
-                   if not isinstance(header, dict) or k not in header]
-        if missing:
-            raise ValueError(f"{path}: header without {missing}")
+        _require_keys(header, ("config", "meta", "tensors"), f"{path}: header")
         reject_unknown_keys(ModelConfig, header["config"],
                             f"{path}: unknown model config keys")
+        defaults = ModelConfig()
+        for key, value in header["config"].items():
+            check_json_type(getattr(defaults, key), value,
+                            f"{path}: config.{key}")
         config = ModelConfig(**header["config"])
         try:
             config.validate()
@@ -624,7 +643,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         tensors: dict[str, Tensor] = {}
         is_extra: dict[str, bool] = {}
         digest = hashlib.sha256()
-        for entry in header["tensors"]:
+        for i, entry in enumerate(header["tensors"]):
+            _require_keys(entry, ("name", "shape", "frozen", "extra"),
+                          f"{path}: tensor entry {i}")
             name, shape = entry["name"], tuple(entry["shape"])
             raw = read(8 * int(np.prod(shape)), f"tensor {name!r}")
             digest.update(raw)

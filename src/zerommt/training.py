@@ -11,7 +11,10 @@ Everything is a deterministic function of (config, corpus, seed).
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +28,12 @@ from .objectives import Batch, BatchExample
 
 TRAIN_MODES = tuple(obj.ADAPTATION_MODES)
 BETA1, BETA2, EPS_ADAM = 0.9, 0.99, 1e-8
+
+M_TRIM_THRESHOLD = -1  # mallopt's parameter number, from malloc.h
+# The free heap top glibc may keep instead of returning it to the kernel.
+# 64 MiB is glibc's own ceiling for its dynamic trim threshold, and far
+# above the few MB a step frees and allocates again, so no step trims.
+HEAP_TRIM_THRESHOLD = 64 << 20
 
 
 class FreezingViolation(RuntimeError):
@@ -177,6 +186,45 @@ def _backpropagate_terms(terms) -> tuple[float, dict[str, float]]:
     return total, values
 
 
+def _glibc():
+    """glibc's malloc, whose heap policy ``_kept_heap`` sets; None off
+    glibc."""
+    if platform.libc_ver()[0] != "glibc":
+        return None
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    libc.mallopt.restype = ctypes.c_int
+    libc.malloc_trim.argtypes = [ctypes.c_size_t]
+    libc.malloc_trim.restype = ctypes.c_int
+    return libc
+
+
+_LIBC = _glibc()
+
+
+@contextmanager
+def _kept_heap():
+    """Keep the freed top of glibc's heap resident inside the scope, and
+    trim the heap once on the way out.
+
+    A step frees its graph and gradients during its backward, so with
+    glibc's default policy the heap top falls free there, goes back to the
+    kernel, and the next forward faults the same pages in again. Raising
+    the trim threshold stops that; the trim on exit hands the pages back
+    once, so later stages in the process start on a trimmed heap. glibc
+    cannot go back to its dynamic thresholds, so the raised one stays set
+    after the scope. The allocator moves no float, so results are the same
+    bit for bit. Off glibc the scope does nothing."""
+    if _LIBC is None:
+        yield
+        return
+    _LIBC.mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+    try:
+        yield
+    finally:
+        _LIBC.malloc_trim(0)
+
+
 def _descend(params: ModelParams, config, n: int, rng: np.random.Generator,
              terms_of, stage: str):
     """Adam descent over shuffled batches of ``n`` examples, yielding
@@ -186,25 +234,27 @@ def _descend(params: ModelParams, config, n: int, rng: np.random.Generator,
     ``_backpropagate_terms`` consumes, so a step holds one term's graph at a
     time and no step's graph survives into the next forward. Nor do its
     gradients: the leaves drop them after the update, and nothing else
-    holds them. A non-finite total raises naming ``stage`` and the step,
-    before the update.
+    holds them. The loop runs inside ``_kept_heap``, so the pages a step
+    frees stay with the process for the next one. A non-finite total
+    raises naming ``stage`` and the step, before the update.
 
     ``train``'s source masks draw from the same ``rng`` as ``_batches``, so
     ``terms_of`` must run between batch draws: that order is part of
     ``train_log.csv``'s bytes.
     """
     state = AdamState()
-    for step, idxs in enumerate(
-        _batches(n, min(config.batch_size, n), config.max_steps, rng), start=1
-    ):
-        total, values = _backpropagate_terms(terms_of(idxs))
-        if not math.isfinite(total):
-            raise RuntimeError(f"{stage} diverged at step {step}: loss={total}")
-        adam_step(params, {name: t.grad for name, t in params.tensors.items()
-                           if t.requires_grad and t.grad is not None},
-                  state, config.lr)
-        params.zero_grads()
-        yield step, total, values
+    with _kept_heap():
+        for step, idxs in enumerate(
+            _batches(n, min(config.batch_size, n), config.max_steps, rng), start=1
+        ):
+            total, values = _backpropagate_terms(terms_of(idxs))
+            if not math.isfinite(total):
+                raise RuntimeError(f"{stage} diverged at step {step}: loss={total}")
+            adam_step(params, {name: t.grad for name, t in params.tensors.items()
+                               if t.requires_grad and t.grad is not None},
+                      state, config.lr)
+            params.zero_grads()
+            yield step, total, values
 
 
 # ---------------------------------------------------------------------------

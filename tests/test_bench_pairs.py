@@ -2,6 +2,7 @@
 runs themselves need two checkouts and minutes, so they are not run
 here)."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -48,3 +49,51 @@ def test_summary_counts_wins_in_each_metrics_direction():
     assert "| items_per_s | higher | 100 [95, 105] | 118 [115, 120] | 1.180 " \
            "| 4/5 | yes |" in table
     assert "peak_rss_mb change: 60 60 61 60.5 60.5" in table.splitlines()
+
+
+def test_each_pair_runs_every_workload_and_prints_a_table_each(
+        tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload))
+        pair = sum(c == (checkout.name, workload) for c in calls)
+        ips = 100.0 + pair + (10.0 if checkout == change else 0.0)
+        if workload == "score":
+            ips *= 2
+        return {"metrics": {"items_per_s": {"value": ips}}}
+
+    monkeypatch.setattr(bp, "run_once", run_once)
+    assert bp.main(["--parent", str(parent), "--change", str(change),
+                    "--workload", "train", "score", "--seed", "7",
+                    "--pairs", "2", "--seconds", "1"]) == 0
+    # every pair runs both workloads, and the side that runs first flips
+    assert calls == [("parent", "train"), ("change", "train"),
+                     ("parent", "score"), ("change", "score"),
+                     ("change", "train"), ("parent", "train"),
+                     ("change", "score"), ("parent", "score")]
+    out = capsys.readouterr().out
+    assert out.startswith("train, seed 7, 2 pairs of 1 s runs")
+    train, score = out.split("\n\nscore, seed 7, 2 pairs of 1 s runs")
+    assert "| items_per_s | higher | 101.5 [101.2, 101.8] | 111.5 " \
+           "[111.2, 111.8] | 1.099 | 2/2 | yes |" in train
+    assert "items_per_s parent: 202 204" in score.splitlines()
+    assert "items_per_s change: 222 224" in score.splitlines()
+
+
+def test_a_failed_run_names_its_workload_and_exits_1(tmp_path, monkeypatch,
+                                                     capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+
+    def run_once(checkout, workload, seed, seconds):
+        if workload == "score":
+            raise RuntimeError("perfbench exited 2")
+        return {"metrics": {}}
+
+    monkeypatch.setattr(bp, "run_once", run_once)
+    assert bp.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                    "--workload", "train", "score", "--seed", "7"]) == 1
+    assert "pair 1, score, parent: perfbench exited 2" in capsys.readouterr().err

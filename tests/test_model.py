@@ -325,9 +325,14 @@ def _with_json_header(edit):
      "header without ['tensors']"),
     (_with_json_header(lambda h: h["config"].update(n_heads=3, d_model=8)),
      "invalid model config: d_model 8 not divisible by n_heads 3"),
+    (_with_json_header(lambda h: h["tensors"][2].pop("frozen")),
+     "tensor entry 2 without ['frozen']"),
+    (_with_json_header(lambda h: h["config"].update(max_len="12")),
+     'config.max_len must be int, got "12"'),
 ], ids=["cut_header", "cut_payload", "trailing_bytes", "unknown_config_key",
         "flipped_payload_byte", "version_without_digest", "header_not_json",
-        "header_without_tensors", "invalid_config"])
+        "header_without_tensors", "invalid_config", "tensor_entry_without_key",
+        "config_value_of_wrong_type"])
 def test_checkpoint_rejects_malformed_file(tiny_params, tmp_path, corrupt,
                                            message):
     path = tmp_path / "model.ckpt"

@@ -4,6 +4,8 @@ enforcement, batching, checkpoint selection, and the log format."""
 
 import dataclasses
 import math
+import platform
+import resource
 import weakref
 
 import numpy as np
@@ -572,3 +574,149 @@ def test_train_never_reads_gold_annotations(mini_world, mini_base):
             result = tr.train(_mini_train_config(mode=mode), data, mini_base)
             logs.append(tr.log_rows_to_csv(result.log_rows).encode())
         assert logs[0] == logs[1], mode
+
+
+# ---------------------------------------------------------------------------
+# the descent loop's heap, and what a pretraining step rebuilds
+
+
+@pytest.fixture(scope="module")
+def default_corpus():
+    """Pretraining pairs that fit the default ``ModelConfig``."""
+    world = sc.generate_world(sc.WorldSpec(seed=3), vocab_budget=64)
+    return sc.generate_splits(world, sc.SplitSizes(
+        pretrain_parallel=96, mmt_train=1, val_contrastive=1,
+        val_translation=1, test_contrastive=1, test_translation=1,
+    )).pretrain_parallel
+
+
+def _pretraining_descent(corpus, model_config, config):
+    """``_descend`` as ``pretrain_base`` drives it, and its parameters."""
+    params = m.build_model(model_config, seed=config.seed)
+    params.unfreeze_base()
+
+    def terms_of(idxs):
+        nll = obj.text_nll(Batch([BatchExample(src=corpus[k].src,
+                                               tgt=corpus[k].tgt)
+                                  for k in idxs]), params)
+        return [("nll", nll, nll)]
+
+    return params, tr._descend(params, config, len(corpus),
+                               np.random.default_rng([config.seed, 17]),
+                               terms_of, "pretraining")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is glibc's malloc's")
+def test_steady_pretraining_steps_take_almost_no_minor_faults(default_corpus):
+    # with glibc's default policy each backward hands the freed heap top
+    # back to the kernel and the next forward faults it in again: about
+    # 1.3k minor faults a step at this size
+    _, steps = _pretraining_descent(default_corpus, m.ModelConfig(),
+                                    PretrainConfig(max_steps=10, seed=3))
+    faults = [resource.getrusage(resource.RUSAGE_SELF).ru_minflt]
+    for _ in steps:
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    # two warm-up steps grow the heap to its working size
+    steady = np.diff(faults)[2:]
+    assert len(steady) == 8
+    assert steady.sum() < 50 * len(steady), steady
+
+
+def test_the_heap_policy_moves_no_float(mini_world, monkeypatch):
+    from conftest import TINY
+
+    _, splits = mini_world
+    runs = []
+    for libc in (tr._LIBC, None):
+        monkeypatch.setattr(tr, "_LIBC", libc)
+        params, steps = _pretraining_descent(
+            splits.pretrain_parallel, dataclasses.replace(TINY),
+            PretrainConfig(max_steps=6, batch_size=8))
+        totals = [(step, total.hex(), values["nll"].hex())
+                  for step, total, values in steps]
+        runs.append((totals, params.base_bytes()))
+    assert len(runs[0][0]) == 6
+    assert runs[0] == runs[1]
+
+
+class _RecordingLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append(("mallopt", param, value))
+        return 1
+
+    def malloc_trim(self, pad):
+        self.calls.append(("malloc_trim", pad))
+        return 1
+
+
+@pytest.mark.parametrize("lr", [1e-3, 1e150])
+def test_the_loop_keeps_its_heap_and_trims_it_once_on_the_way_out(
+        mini_world, monkeypatch, lr):
+    # the policy is set before the first step, and the heap is trimmed
+    # after the last, also when a step diverges
+    from conftest import TINY
+
+    _, splits = mini_world
+    libc = _RecordingLibc()
+    monkeypatch.setattr(tr, "_LIBC", libc)
+    _, steps = _pretraining_descent(
+        splits.pretrain_parallel, dataclasses.replace(TINY, d_model=16),
+        PretrainConfig(lr=lr, max_steps=4, batch_size=8))
+    seen = []
+    with np.errstate(all="ignore"):
+        try:
+            for step, _, _ in steps:
+                seen.append((step, list(libc.calls)))
+        except RuntimeError as e:
+            assert "pretraining diverged at step 2" in str(e)
+    policy = [("mallopt", tr.M_TRIM_THRESHOLD, tr.HEAP_TRIM_THRESHOLD)]
+    assert seen[0] == (1, policy)
+    assert all(calls == policy for _, calls in seen)
+    assert len(seen) == (4 if lr == 1e-3 else 1)
+    assert libc.calls == policy + [("malloc_trim", 0)]
+
+
+def test_each_recipe_output_is_rebuilt_once_per_backward(default_corpus,
+                                                        monkeypatch):
+    # a pretraining step at the default size has 18 recipe'd outputs; one
+    # rebuild per consumer took 29 rebuilds, with the same gradients
+    built, per_backward, grads = [], [], []
+
+    def counting(build, wrap):
+        def rebuild():
+            array = build()
+            built.append(weakref.ref(array))
+            return array
+
+        return wrap(rebuild)
+
+    def backward(loss, _backward=ad.backward):
+        built.clear()
+        _backward(loss)
+        per_backward.append(len(built))
+        # every rebuilt array died with the last closure that read it
+        assert all(ref() is None for ref in built)
+
+    def recording(params, g, state, lr, _step=tr.adam_step):
+        grads.append({n: a.tobytes() for n, a in g.items()})
+        _step(params, g, state, lr)
+
+    monkeypatch.setattr(ad, "backward", backward)
+    monkeypatch.setattr(tr, "adam_step", recording)
+    runs = {}
+    for cached, wrap in ((False, lambda build: build),
+                         (True, ad._built_once)):
+        monkeypatch.setattr(ad, "_built_once",
+                            lambda build, wrap=wrap: counting(build, wrap))
+        _, steps = _pretraining_descent(default_corpus, m.ModelConfig(),
+                                        PretrainConfig(max_steps=2, seed=3))
+        assert len(list(steps)) == 2
+        runs[cached] = (per_backward[:], grads[:])
+        per_backward.clear()
+        grads.clear()
+    assert runs[False][0] == [29, 29] and runs[True][0] == [18, 18]
+    assert runs[True][1] == runs[False][1]
