@@ -6,8 +6,11 @@ drift of the machine falls on both sides alike. Each run's last output line
 is its JSON summary. For each workload, and every end-to-end metric of the
 change's ``BENCHMARK.json``, it prints each side's median and quartiles,
 the ratio of the medians, how many pairs the change won (in the metric's
-``better`` direction) and whether the gap between the medians exceeds the
-parent's interquartile range, then every run's value in pair order.
+``better`` direction), whether the gap between the medians exceeds the
+parent's interquartile range and whether the change's median is worse than
+the parent's by more than the metric's ``bound`` times the parent's median,
+then every run's value in pair order. That relative reading of ``bound``
+is an aid for reading the table, not the benchmark's own verdict.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload train score --seed 31 --pairs 10 --seconds 30
@@ -46,12 +49,17 @@ def summarize(parent: list[dict], change: list[dict],
         c = [r[name]["value"] for r in change]
         pq, cq = quartiles(p), quartiles(c)
         wins = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
+        worse_by = (pq[1] - cq[1]) if higher else (cq[1] - pq[1])
+        bound = spec.get("bound")
         rows.append({
             "metric": name, "better": spec["better"],
             "parent": pq, "change": cq,
             "ratio": cq[1] / pq[1] if pq[1] else float("nan"),
             "wins": wins, "pairs": len(p),
             "gap_exceeds_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0],
+            "bound": bound,
+            "beyond_bound": (None if bound is None
+                             else worse_by > bound * abs(pq[1])),
             "runs": (p, c),
         })
     return rows
@@ -60,16 +68,19 @@ def summarize(parent: list[dict], change: list[dict],
 def format_rows(rows: list[dict]) -> str:
     lines = ["| metric | better | parent median [q1, q3] | "
              "change median [q1, q3] | change/parent | change wins | "
-             "gap > parent IQR |",
-             "|---|---|---|---|---|---|---|"]
+             "gap > parent IQR | worse by > bound × parent median |",
+             "|---|---|---|---|---|---|---|---|"]
     for r in rows:
         p, c = r["parent"], r["change"]
+        beyond = ("-" if r["bound"] is None else
+                  f"{'yes' if r['beyond_bound'] else 'no'} "
+                  f"(bound {r['bound']:g})")
         lines.append(
             f"| {r['metric']} | {r['better']} "
             f"| {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] "
             f"| {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}] "
             f"| {r['ratio']:.3f} | {r['wins']}/{r['pairs']} "
-            f"| {'yes' if r['gap_exceeds_iqr'] else 'no'} |")
+            f"| {'yes' if r['gap_exceeds_iqr'] else 'no'} | {beyond} |")
     lines.append("")
     for r in rows:
         for side, values in zip(("parent", "change"), r["runs"]):

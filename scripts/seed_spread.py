@@ -107,25 +107,27 @@ def measure(seed: int, replacement_lam: float | None = None) -> dict:
 
 
 def checks(r: dict) -> list[tuple[str, float, bool]]:
-    """(label, shown value, pass) per check, with the thresholds of the
-    same-named tests in tests/test_acceptance.py."""
+    """(label, shown value, pass) per check, with the threshold constants
+    of tests/test_acceptance.py that the same-named tests use."""
     accs = [r[f"acc_g{g:g}"] for g in acc.GAMMA_GRID]
     gain = r["acc_g2"] - r["acc_g1"]
     dip = max(a - b for a, b in zip(accs, accs[1:]))
     bleu_drop = r["bleu_g3"] - r["full_bleu"]
+    lo, hi = acc.CHANCE_BAND
     out = [
         ("ablation_full: full acc", r["full_acc"],
-         r["full_acc"] >= 65.0 and r["full_bleu"] >= r["base_bleu"] - 2.0),
+         r["full_acc"] >= acc.FULL_MIN_ACC
+         and r["full_bleu"] >= r["base_bleu"] - acc.MAX_BLEU_DROP),
         ("supervised_replacement: full - mmt_no_kl",
          r["full_acc"] - r["mmt_no_kl_acc"],
          r["mmt_no_kl_acc"] <= r["full_acc"]),
-        ("guidance_sweep: gain at g=2", gain, gain >= 2.0),
-        ("guidance_sweep: worst dip", dip, dip <= 1.0),
+        ("guidance_sweep: gain at g=2", gain, gain >= acc.MIN_GUIDANCE_GAIN),
+        ("guidance_sweep: worst dip", dip, dip <= acc.MAX_GUIDANCE_DIP),
         ("guidance_sweep: bleu g=3 - g=1", bleu_drop, bleu_drop <= 0.0),
         ("masked_loss: no_vmlm acc", r["no_vmlm_acc"],
-         45.0 <= r["no_vmlm_acc"] <= 55.0),
+         lo <= r["no_vmlm_acc"] <= hi),
         ("anchor_accuracy: no_kl - full", r["no_kl_acc"] - r["full_acc"],
-         r["no_kl_acc"] >= r["full_acc"] - 2.0),
+         r["no_kl_acc"] >= r["full_acc"] - acc.MAX_ACC_DROP),
     ]
     if "replacement_lam" in r:
         out.insert(2, (

@@ -52,44 +52,15 @@ class RunConfig:
                              f"{self.eval_beam_width}")
 
 
-def _fill_dataclass(cls, obj, path: str):
-    """``cls`` from the JSON object ``obj`` at ``path``; a missing key keeps
-    its default, and a value must have its default's JSON type (an int may
-    stand for a float)."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path} must be an object, got {json.dumps(obj)}")
-    m.reject_unknown_keys(cls, obj, f"unknown config keys at {path}:")
-    defaults = cls()
-    kwargs = {}
-    for key, value in obj.items():
-        sub = _DATACLASS_FIELDS.get((cls, key))
-        if sub is not None:
-            kwargs[key] = _fill_dataclass(sub, value, f"{path}.{key}")
-            continue
-        m.check_json_type(getattr(defaults, key), value, f"{path}.{key}")
-        kwargs[key] = value
-    return cls(**kwargs)
-
-
-_DATACLASS_FIELDS = {
-    (RunConfig, "world"): sc.WorldSpec,
-    (RunConfig, "sizes"): sc.SplitSizes,
-    (RunConfig, "model"): m.ModelConfig,
-    (RunConfig, "pretrain"): tr.PretrainConfig,
-    (RunConfig, "train"): tr.TrainConfig,
-}
-
-
 def load_config(path: str | None, seed: int | None) -> RunConfig:
-    if path is None:
-        config = RunConfig()
-    else:
+    raw = {}
+    if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: config is not JSON: {e}") from e
-        config = _fill_dataclass(RunConfig, raw, "config")
+    config = m.from_json(RunConfig, raw, f"{path}: config", partial=True)
     if seed is not None:
         config.world.seed = seed
         config.pretrain.seed = seed

@@ -14,7 +14,7 @@ import hashlib
 import json
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -541,33 +541,61 @@ def apply_source_mask(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, JSON header, raw little-endian float64;
-# the header holds the sha256 of that payload
+# reading JSON: one type rule for every file the program reads
 
 
-def reject_unknown_keys(cls, obj: dict, message: str) -> None:
-    """Raise ValueError, ``message`` followed by the sorted keys, if ``obj``
-    has keys that are not fields of the dataclass ``cls``."""
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"{message} {sorted(unknown)}")
-
-
-def check_json_type(default, value, where: str) -> None:
-    """Raise ValueError naming ``where`` unless the JSON value ``value`` has
-    the type of the field default ``default`` (an int may stand for a
-    float)."""
-    want = type(default)
+def json_value(want: type, value, where: str):
+    """``value`` if the JSON value has the type ``want`` (an int may stand
+    for a float; a bool is no number), else ValueError naming ``where``."""
     if type(value) is not want and (want, type(value)) != (float, int):
         raise ValueError(f"{where} must be {want.__name__}, got "
                          f"{json.dumps(value)}")
+    return value
 
 
-def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
+def json_list(want: type, value, where: str) -> list:
+    """``value`` if it is a JSON list of ``want`` values (``json_value``),
+    else ValueError naming ``where`` and the first bad item."""
+    json_value(list, value, where)
+    if not set(map(type, value)) <= {want}:
+        for k, item in enumerate(value):
+            json_value(want, item, f"{where}[{k}]")
+    return value
+
+
+def _require_keys(obj, keys: Sequence[str], what: str) -> None:
     """Raise ValueError if ``obj`` is not a JSON object with all ``keys``."""
     missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
     if missing:
         raise ValueError(f"{what} without {missing}")
+
+
+def from_json(cls, obj, where: str, partial: bool = False):
+    """The dataclass ``cls`` read from the JSON object ``obj`` at ``where``.
+    Unknown keys fail, and each value must have its default's type
+    (``json_value``); a field whose default is a dataclass is read the same
+    way. A missing key keeps its default if ``partial``, else fails."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {json.dumps(obj)}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    if not partial:
+        _require_keys(obj, names, where)
+    defaults = cls()
+    kwargs = {}
+    for key, value in obj.items():
+        default, at = getattr(defaults, key), f"{where}.{key}"
+        kwargs[key] = (from_json(type(default), value, at, partial)
+                       if is_dataclass(default)
+                       else json_value(type(default), value, at))
+    return cls(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint format: magic, version, JSON header, raw little-endian float64;
+# the header holds the sha256 of that payload
 
 
 def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None:
@@ -603,12 +631,11 @@ def save_checkpoint(path, params: ModelParams, meta: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a ``save_checkpoint`` file; a malformed one (a header that is
-    not JSON or lacks a key, a config ``ModelConfig.validate`` rejects)
-    raises ValueError naming ``path`` and, where it applies, the tensor or
-    config key, and one whose tensor bytes do not hash to the header's
-    sha256 raises too. Config values must have their defaults' JSON types,
-    as in a run config."""
+    """Read a ``save_checkpoint`` file: the config by ``from_json``, tensor
+    entries that list ``build_model``'s layout of it (names in order,
+    shapes, ``extra``) with a bool ``frozen``, and a payload that hashes to
+    the header's sha256. A malformed file raises ValueError naming ``path``
+    and, where it applies, the tensor entry or config key."""
     with open(path, "rb") as fh:
 
         def read(n: int, what: str) -> bytes:
@@ -629,33 +656,36 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ValueError(f"{path}: header is not JSON: {e}") from e
         _require_keys(header, ("config", "meta", "tensors"), f"{path}: header")
-        reject_unknown_keys(ModelConfig, header["config"],
-                            f"{path}: unknown model config keys")
-        defaults = ModelConfig()
-        for key, value in header["config"].items():
-            check_json_type(getattr(defaults, key), value,
-                            f"{path}: config.{key}")
-        config = ModelConfig(**header["config"])
+        config = from_json(ModelConfig, header["config"], f"{path}: config")
         try:
-            config.validate()
+            layout = build_model(config, seed=0)
         except ValueError as e:
             raise ValueError(f"{path}: invalid model config: {e}") from e
-        tensors: dict[str, Tensor] = {}
-        is_extra: dict[str, bool] = {}
+        entries = json_list(dict, header["tensors"], f"{path}: tensors")
+        if len(entries) != len(layout.tensors):
+            raise ValueError(f"{path}: {len(entries)} tensor entries, the "
+                             f"layout has {len(layout.tensors)}")
         digest = hashlib.sha256()
-        for i, entry in enumerate(header["tensors"]):
-            _require_keys(entry, ("name", "shape", "frozen", "extra"),
-                          f"{path}: tensor entry {i}")
-            name, shape = entry["name"], tuple(entry["shape"])
-            raw = read(8 * int(np.prod(shape)), f"tensor {name!r}")
+        for i, (entry, (name, t)) in enumerate(
+                zip(entries, layout.tensors.items())):
+            where = f"{path}: tensor entry {i}"
+            _require_keys(entry, ("name", "shape", "frozen", "extra"), where)
+            # compared as JSON, so 64.0 is no 64 and "yes" no true
+            for key, want in (("name", name), ("shape", list(t.data.shape)),
+                              ("extra", layout.is_extra[name])):
+                if json.dumps(entry[key]) != json.dumps(want):
+                    raise ValueError(f"{where}: {key} {json.dumps(entry[key])} "
+                                     f"where the layout has {json.dumps(want)}")
+            t.requires_grad = not json_value(bool, entry["frozen"],
+                                             f"{where}.frozen")
+            raw = read(8 * t.data.size, f"tensor {name!r}")
             digest.update(raw)
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-            tensors[name] = Tensor(arr, requires_grad=not entry["frozen"])
-            is_extra[name] = entry["extra"]
+            t.data = np.frombuffer(raw, dtype="<f8").reshape(
+                t.data.shape).astype(np.float64)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
         if digest.hexdigest() != header.get("payload_sha256"):
             raise ValueError(f"{path}: payload sha256 mismatch (header "
                              f"{header.get('payload_sha256')}, payload "
                              f"{digest.hexdigest()})")
-    return ModelParams(config=config, tensors=tensors, is_extra=is_extra), header["meta"]
+    return layout, header["meta"]

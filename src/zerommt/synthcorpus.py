@@ -23,7 +23,7 @@ import numpy as np
 
 from .evaluation import ContrastiveInstance
 from .model import (BOS, EOS, SPECIAL_TOKENS, ModelConfig, ModelParams,
-                    reject_unknown_keys)
+                    from_json, json_list, json_value)
 from .objectives import BatchExample
 from . import decoding
 
@@ -458,15 +458,21 @@ def _read_jsonl(path, parse) -> list:
     return out
 
 
+def _record(obj: dict, ints: tuple[str, ...], images: tuple[str, ...]) -> dict:
+    """The fields of one JSONL record ``obj``: its id and each of ``ints``
+    JSON integers, each of ``images`` a float64 vector of JSON numbers."""
+    out = {"id": json_value(int, obj["id"], "id")}
+    out.update((key, json_list(int, obj[key], key)) for key in ints)
+    out.update((key, np.asarray(json_list(float, obj[key], key),
+                                dtype=np.float64)) for key in images)
+    return out
+
+
 def read_examples(path) -> list[Example]:
     def parse(obj: dict) -> Example:
-        img = obj.get("img")
-        ex = Example(
-            id=int(obj["id"]),
-            src=[int(t) for t in obj["src"]],
-            tgt=[int(t) for t in obj["tgt"]],
-            image=None if img is None else np.asarray(img, dtype=np.float64),
-        )
+        img = () if obj.get("img") is None else ("img",)
+        rec = _record(obj, ("src", "tgt"), img)
+        ex = Example(image=rec.pop("img", None), **rec)
         BatchExample(ex.src, ex.tgt).validate()
         return ex
 
@@ -516,14 +522,8 @@ def write_contrastive(path, instances: list[ContrastiveInstance]) -> None:
 
 def read_contrastive(path) -> list[ContrastiveInstance]:
     def parse(obj: dict) -> ContrastiveInstance:
-        inst = ContrastiveInstance(
-            id=int(obj["id"]),
-            src=[int(t) for t in obj["src"]],
-            img_a=np.asarray(obj["img_a"], dtype=np.float64),
-            tgt_a=[int(t) for t in obj["tgt_a"]],
-            img_b=np.asarray(obj["img_b"], dtype=np.float64),
-            tgt_b=[int(t) for t in obj["tgt_b"]],
-        )
+        inst = ContrastiveInstance(**_record(
+            obj, ("src", "tgt_a", "tgt_b"), ("img_a", "img_b")))
         for tgt in (inst.tgt_a, inst.tgt_b):
             BatchExample(inst.src, tgt).validate()
         return inst
@@ -545,18 +545,16 @@ def world_to_dict(world: World) -> dict:
 
 
 def world_from_dict(obj: dict) -> World:
-    reject_unknown_keys(WorldSpec, obj["spec"], "unknown world spec keys")
-    cue = {}
-    for key, c in obj["cue"].items():
-        w, s = key.split(":")
-        cue[(int(w), int(s))] = int(c)
-    return World(
-        spec=WorldSpec(**obj["spec"]),
-        plain_src=[int(v) for v in obj["plain_src"]],
-        plain_tgt={int(k): int(v) for k, v in obj["plain_tgt"].items()},
-        amb_src=[int(v) for v in obj["amb_src"]],
-        amb_tgt={int(k): (int(v[0]), int(v[1])) for k, v in obj["amb_tgt"].items()},
-        cue=cue,
-        centroids=obj["centroids"],
-        vocab_used=int(obj["vocab_used"]),
-    )
+    """The world ``world_to_dict`` wrote. The spec is read by ``from_json``
+    (every key present) and every other field must equal, as JSON, the
+    world ``generate_world`` makes of it (an id 7.9 is no 7). Raises
+    ValueError naming the field, or KeyError for a missing one."""
+    spec = from_json(WorldSpec, obj["spec"], "world.spec")
+    try:
+        world = generate_world(spec, vocab_budget=math.inf)
+    except ValueError as e:
+        raise ValueError(f"world.spec: {e}") from e
+    for key, want in world_to_dict(world).items():
+        if json.dumps(obj[key], sort_keys=True) != json.dumps(want, sort_keys=True):
+            raise ValueError(f"world.{key} is not the one world.spec generates")
+    return world

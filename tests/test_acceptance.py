@@ -36,6 +36,14 @@ TRAIN_KWARGS = dict(lr=3e-3, max_steps=600, eval_every=100)
 GAMMA_GRID = [1.0, 1.5, 2.0, 3.0]
 BEAM_WIDTH = 4
 
+# the thresholds of the checks below, which scripts/seed_spread.py reads too
+FULL_MIN_ACC = 65.0  # full's contrastive accuracy
+MAX_BLEU_DROP = 2.0  # full's translation BLEU below the base's
+CHANCE_BAND = (45.0, 55.0)  # no_vmlm's contrastive accuracy
+MAX_ACC_DROP = 2.0  # no_kl's contrastive accuracy below full's
+MIN_GUIDANCE_GAIN = 2.0  # accuracy at gamma=2 over gamma=1
+MAX_GUIDANCE_DIP = 1.0  # worst accuracy dip between neighbouring gammas
+
 
 @pytest.fixture(scope="module")
 def report(request):
@@ -334,38 +342,40 @@ def test_ablation_full_learns_disambiguation(ablation, report, provenance):
     metrics, _ = ablation
     acc, bleu = metrics["full"]
     _, base_bleu = metrics["base"]
-    ok = acc >= 65.0 and bleu >= base_bleu - 2.0
+    ok = acc >= FULL_MIN_ACC and bleu >= base_bleu - MAX_BLEU_DROP
     report(
         "ablation-full", ok,
-        f"contrastive {acc:.2f} (need >= 65), translation {bleu:.2f} vs "
-        f"base {base_bleu:.2f} (allowed drop 2.0) {provenance}",
+        f"contrastive {acc:.2f} (need >= {FULL_MIN_ACC:g}), translation "
+        f"{bleu:.2f} vs base {base_bleu:.2f} (allowed drop "
+        f"{MAX_BLEU_DROP:.1f}) {provenance}",
     )
-    assert acc >= 65.0
-    assert bleu >= base_bleu - 2.0
+    assert acc >= FULL_MIN_ACC
+    assert bleu >= base_bleu - MAX_BLEU_DROP
 
 
 def test_ablation_without_masked_loss_stays_at_chance(ablation, report, provenance):
     metrics, _ = ablation
     acc, _ = metrics["no_vmlm"]
-    ok = 45.0 <= acc <= 55.0
+    lo, hi = CHANCE_BAND
+    ok = lo <= acc <= hi
     report(
         "ablation-no-masked-loss", ok,
-        f"contrastive {acc:.2f} (chance band [45, 55]) {provenance}",
+        f"contrastive {acc:.2f} (chance band [{lo:g}, {hi:g}]) {provenance}",
     )
-    assert 45.0 <= acc <= 55.0
+    assert lo <= acc <= hi
 
 
 def test_ablation_without_anchor_keeps_disambiguation(ablation, report, provenance):
     metrics, _ = ablation
     acc, _ = metrics["no_kl"]
     full_acc, _ = metrics["full"]
-    ok = acc >= full_acc - 2.0
+    ok = acc >= full_acc - MAX_ACC_DROP
     report(
         "ablation-no-anchor-accuracy", ok,
-        f"contrastive {acc:.2f} vs full {full_acc:.2f} (allowed drop 2.0) "
-        f"{provenance}",
+        f"contrastive {acc:.2f} vs full {full_acc:.2f} (allowed drop "
+        f"{MAX_ACC_DROP:.1f}) {provenance}",
     )
-    assert acc >= full_acc - 2.0
+    assert acc >= full_acc - MAX_ACC_DROP
 
 
 @pytest.mark.xfail(
@@ -429,18 +439,20 @@ def test_guidance_sweep(pipeline, runs, report, provenance):
     gain = accs[2.0] - accs[1.0]
     steps = list(zip(GAMMA_GRID, GAMMA_GRID[1:]))
     worst_dip = max(accs[a] - accs[b] for a, b in steps)
-    ok = gain >= 2.0 and bleus[3.0] <= bleus[1.0] and worst_dip <= 1.0
+    ok = (gain >= MIN_GUIDANCE_GAIN and bleus[3.0] <= bleus[1.0]
+          and worst_dip <= MAX_GUIDANCE_DIP)
     detail = ", ".join(
         f"g={g:g}: acc {accs[g]:.2f} / bleu {bleus[g]:.2f}" for g in GAMMA_GRID
     )
     report(
         "guidance-sweep", ok,
-        f"{detail}; gain at g=2 {gain:+.2f} (need >= 2), worst dip "
-        f"{worst_dip:.2f} (slack 1.0) {provenance}",
+        f"{detail}; gain at g=2 {gain:+.2f} (need >= "
+        f"{MIN_GUIDANCE_GAIN:g}), worst dip {worst_dip:.2f} (slack "
+        f"{MAX_GUIDANCE_DIP:.1f}) {provenance}",
     )
-    assert gain >= 2.0
+    assert gain >= MIN_GUIDANCE_GAIN
     assert bleus[3.0] <= bleus[1.0]
-    assert worst_dip <= 1.0
+    assert worst_dip <= MAX_GUIDANCE_DIP
 
 
 # ---------------------------------------------------------------------------

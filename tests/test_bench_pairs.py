@@ -51,6 +51,31 @@ def test_summary_counts_wins_in_each_metrics_direction():
     assert "peak_rss_mb change: 60 60 61 60.5 60.5" in table.splitlines()
 
 
+def test_bound_column_reads_the_bound_relative_to_the_parents_median():
+    metrics = [{"name": "items_per_s", "better": "higher", "bound": 0.25},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+               {"name": "setup_s", "better": "lower"}]
+    parent = _runs(items_per_s=[100.0, 100.0, 100.0],
+                   peak_rss_mb=[60.0, 60.0, 60.0], setup_s=[1.0, 1.0, 1.0])
+    change = _runs(items_per_s=[74.0, 74.0, 74.0],
+                   peak_rss_mb=[66.0, 65.0, 66.0], setup_s=[9.0, 9.0, 9.0])
+    rows = {r["metric"]: r for r in bp.summarize(parent, change, metrics)}
+    # 26 fewer items/s is more than 0.25 x 100; 6 MB more is not more than
+    # 0.1 x 60; setup_s declares no bound
+    assert rows["items_per_s"]["beyond_bound"] is True
+    assert rows["peak_rss_mb"]["beyond_bound"] is False
+    assert rows["setup_s"]["beyond_bound"] is None
+    # a better median is never beyond the bound, in either direction
+    flipped = {r["metric"]: r for r in bp.summarize(change, parent, metrics)}
+    assert not flipped["items_per_s"]["beyond_bound"]
+    assert not flipped["peak_rss_mb"]["beyond_bound"]
+    table = bp.format_rows(list(rows.values())).splitlines()
+    assert table[0].endswith("| worse by > bound × parent median |")
+    assert table[2].endswith("| 0/3 | yes | yes (bound 0.25) |")
+    assert table[3].endswith("| 0/3 | yes | no (bound 0.1) |")
+    assert table[4].endswith("| 0/3 | yes | - |")
+
+
 def test_each_pair_runs_every_workload_and_prints_a_table_each(
         tmp_path, monkeypatch, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"

@@ -251,7 +251,27 @@ def test_world_with_unknown_spec_key_names_the_file(run_dir, tmp_path, capsys):
     path, err = _translate_with_edited_world(
         run_dir, tmp_path, capsys,
         lambda w: w["world"]["spec"].update(caption_cue_rate=0.5))
-    assert f"{path}: unknown world spec keys ['caption_cue_rate']" in err
+    assert f"{path}: world.spec: unknown keys ['caption_cue_rate']" in err
+
+
+def _float_first_sense(payload):
+    word = next(iter(payload["world"]["amb_tgt"]))
+    payload["world"]["amb_tgt"][word][0] += 0.9
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda w: w["world"]["spec"].update(image_dim="16"),
+     'world.spec.image_dim must be int, got "16"'),
+    (lambda w: w["world"]["spec"].update(sense_cluster_separation=-1.0),
+     "world.spec: sense_cluster_separation must be finite and positive"),
+    (lambda w: w["world"]["spec"].pop("seed"), "world.spec without ['seed']"),
+    (_float_first_sense, "world.amb_tgt is not the one world.spec generates"),
+], ids=["image_dim_string", "negative_separation", "spec_without_seed",
+        "float_sense_id"])
+def test_world_with_malformed_spec_or_lexicon_names_the_file_and_key(
+        run_dir, tmp_path, capsys, edit, message):
+    path, err = _translate_with_edited_world(run_dir, tmp_path, capsys, edit)
+    assert f"{path}: {message}" in err
 
 
 @pytest.mark.parametrize("drop", ["world", "spec", "cue"])
@@ -511,7 +531,7 @@ def test_removed_config_keys_are_rejected(tmp_path):
         path.write_text(json.dumps(
             {key: 1} if section is None else {section: {key: 1}}))
         where = "config" if section is None else f"config.{section}"
-        message = f"unknown config keys at {where}: ['{key}']"
+        message = f"{path}: {where}: unknown keys ['{key}']"
         with pytest.raises(ValueError, match=re.escape(message)):
             cli.load_config(str(path), None)
 

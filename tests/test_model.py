@@ -315,7 +315,7 @@ def _with_json_header(edit):
     (lambda raw: raw + b"\x00", "trailing bytes after the last tensor"),
     (_with_json_header(
         lambda h: h["config"].update(visual_positional_encoding=False)),
-     "unknown model config keys ['visual_positional_encoding']"),
+     "config: unknown keys ['visual_positional_encoding']"),
     (lambda raw: raw[:-4] + bytes([raw[-4] ^ 1]) + raw[-3:],
      "payload sha256 mismatch"),
     (lambda raw: raw[:4] + struct.pack("<I", 1) + raw[8:],
@@ -329,10 +329,26 @@ def _with_json_header(edit):
      "tensor entry 2 without ['frozen']"),
     (_with_json_header(lambda h: h["config"].update(max_len="12")),
      'config.max_len must be int, got "12"'),
+    (_with_json_header(lambda h: h["tensors"][3].update(name="enc0.ln1.g")),
+     'tensor entry 3: name "enc0.ln1.g" where the layout has "enc0.ln1.b"'),
+    (_with_json_header(lambda h: h["tensors"][1].update(shape=[11.0, 8])),
+     "tensor entry 1: shape [11.0, 8] where the layout has [11, 8]"),
+    (_with_json_header(lambda h: h["tensors"][1].update(shape=[-2, -32])),
+     "tensor entry 1: shape [-2, -32] where the layout has [11, 8]"),
+    (_with_json_header(lambda h: h["tensors"][2].update(frozen="no")),
+     'tensor entry 2.frozen must be bool, got "no"'),
+    (_with_json_header(lambda h: h["tensors"][2].update(extra="yes")),
+     'tensor entry 2: extra "yes" where the layout has false'),
+    (_with_json_header(lambda h: h["tensors"].pop()),
+     "tensor entries, the layout has"),
+    (_with_json_header(lambda h: h["config"].pop("max_len")),
+     "config without ['max_len']"),
 ], ids=["cut_header", "cut_payload", "trailing_bytes", "unknown_config_key",
         "flipped_payload_byte", "version_without_digest", "header_not_json",
         "header_without_tensors", "invalid_config", "tensor_entry_without_key",
-        "config_value_of_wrong_type"])
+        "config_value_of_wrong_type", "duplicated_tensor_name", "float_shape",
+        "negative_shape", "frozen_not_bool", "extra_not_bool",
+        "tensor_entry_dropped", "config_without_key"])
 def test_checkpoint_rejects_malformed_file(tiny_params, tmp_path, corrupt,
                                            message):
     path = tmp_path / "model.ckpt"

@@ -327,25 +327,39 @@ def test_malformed_jsonl_reports_line_number(tmp_path):
     ("tgt", [5, 2], "target must be BOS-led and EOS-terminated"),
     ("tgt", [1, 5], "target must be BOS-led and EOS-terminated"),
     ("tgt", [1], "target must be BOS-led and EOS-terminated"),
+    # no id, token or image value is cast; ``{key}`` is the field as each
+    # reader names it
+    ("id", "3", 'id must be int, got "3"'),
+    ("id", 3.0, "id must be int, got 3.0"),
+    ("src", [5.7, 6], "src[0] must be int, got 5.7"),
+    ("src", [True], "src[0] must be int, got true"),
+    ("src", "5", 'src must be list, got "5"'),
+    ("tgt", [1, 8.9, 2], "{key}[1] must be int, got 8.9"),
+    ("tgt", [1, True, 2], "{key}[1] must be int, got true"),
+    ("img", ["1.5", True, 3, 4], '{key}[0] must be float, got "1.5"'),
+    ("img", [1.5, True, 3, 4], "{key}[1] must be float, got true"),
 ])
 def test_jsonl_readers_reject_malformed_sequences(tmp_path, field, value,
                                                   message):
     # both readers name the file and line, with BatchExample.validate's
-    # message, for the source and for every target
+    # message or the mistyped value's key, for the source and for every
+    # target and image
     path = tmp_path / "bad.jsonl"
     example = {"id": 0, "src": [5], "tgt": [1, 5, 2]}
     instance = {"id": 0, "src": [5], "img_a": [0.0, 1.0], "tgt_a": [1, 5, 2],
                 "img_b": [1.0, 0.0], "tgt_b": [1, 6, 2]}
     cases = [(sc.read_examples, example, [field]),
              (sc.read_contrastive, instance,
-              ["src"] if field == "src" else ["tgt_a", "tgt_b"])]
+              [field + s for s in ("_a", "_b")] if field in ("tgt", "img")
+              else [field])]
     for read, good, keys in cases:
         for key in keys:
             bad = dict(good, **{key: value})
             path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
             with pytest.raises(ValueError) as err:
                 read(path)
-            assert str(err.value) == f"{path}: malformed line 2: {message}"
+            assert str(err.value) == (f"{path}: malformed line 2: "
+                                      + message.format(key=key))
 
 
 def test_world_dict_roundtrip(world):
@@ -365,6 +379,38 @@ def test_world_with_unknown_spec_key_fails_by_name(world):
     payload = sc.world_to_dict(world)
     payload["spec"]["caption_cue_rate"] = 0.5
     with pytest.raises(ValueError,
-                       match=re.escape("unknown world spec keys "
+                       match=re.escape("world.spec: unknown keys "
                                        "['caption_cue_rate']")):
         sc.world_from_dict(payload)
+
+
+def _bump_first_sense(payload):
+    word = next(iter(payload["amb_tgt"]))
+    payload["amb_tgt"][word][0] += 0.9
+
+
+# (edit of world_to_dict's payload, message)
+MALFORMED_WORLDS = {
+    "image_dim_string": (lambda w: w["spec"].update(image_dim="16"),
+                         'world.spec.image_dim must be int, got "16"'),
+    "negative_separation": (
+        lambda w: w["spec"].update(sense_cluster_separation=-1.0),
+        "world.spec: sense_cluster_separation must be finite and positive"),
+    "spec_without_seed": (lambda w: w["spec"].pop("seed"),
+                          "world.spec without ['seed']"),
+    "float_sense_id": (_bump_first_sense,
+                       "world.amb_tgt is not the one world.spec generates"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_WORLDS)
+def test_world_with_malformed_spec_or_lexicon_fails_by_key(world, name):
+    # a string image_dim, a spec WorldSpec.validate rejects, a spec without
+    # its seed (which must not fall back to 0) and an id 7.9 (which must not
+    # read as 7)
+    edit, message = MALFORMED_WORLDS[name]
+    payload = json.loads(json.dumps(sc.world_to_dict(world)))
+    edit(payload)
+    with pytest.raises(ValueError) as err:
+        sc.world_from_dict(payload)
+    assert str(err.value) == message
