@@ -10,7 +10,11 @@ the ratio of the medians, how many pairs the change won (in the metric's
 parent's interquartile range and whether the change's median is worse than
 the parent's by more than the metric's ``bound`` times the parent's median,
 then every run's value in pair order. That relative reading of ``bound``
-is an aid for reading the table, not the benchmark's own verdict.
+is an aid for reading the table, not the benchmark's own verdict. After
+each run it reads the first pass's digests from the run record that
+checkout wrote (``.perfbench/records/<workload>-seed<n>-trace0.json``),
+and for each workload it prints in how many pairs the parent's and the
+change's digests were equal: a bit-for-bit change must read n/n.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload train score --seed 31 --pairs 10 --seconds 30
@@ -108,6 +112,29 @@ def run_once(checkout: Path, workload: str, seed: int,
     return summary
 
 
+def pass_digests(checkout: Path, workload: str, seed: int) -> dict | None:
+    """The first pass's digests in the record of the last untraced run of
+    ``workload`` at ``seed`` in ``checkout``, or None if there is none."""
+    path = (checkout / ".perfbench" / "records"
+            / f"{workload}-seed{seed}-trace0.json")
+    try:
+        return json.loads(path.read_text())["passes"][0]["digests"]
+    except (OSError, ValueError, KeyError, IndexError, TypeError):
+        return None
+
+
+def format_digests(parent: list[dict | None],
+                   change: list[dict | None]) -> str:
+    """How many pairs' pass digests were equal; ``parent[i]`` and
+    ``change[i]`` are pair i, None where a run left no record."""
+    equal = sum(p is not None and p == c for p, c in zip(parent, change))
+    line = f"pass digests equal in {equal}/{len(parent)} pairs"
+    missing = sum(d is None for d in parent + change)
+    if missing:
+        line += f" ({missing} of {2 * len(parent)} runs left no record)"
+    return line
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -119,6 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     runs = {w: {"parent": [], "change": []} for w in args.workload}
+    digests = {w: {"parent": [], "change": []} for w in args.workload}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload in args.workload:
@@ -131,13 +159,17 @@ def main(argv: list[str] | None = None) -> int:
                           file=sys.stderr)
                     return 1
                 runs[workload][side].append(summary["metrics"])
+                digests[workload][side].append(pass_digests(
+                    getattr(args, side), workload, args.seed))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
     tables = []
     for workload, sides in runs.items():
         tables.append(f"{workload}, seed {args.seed}, {args.pairs} pairs of "
                       f"{args.seconds:g} s runs, alternating order\n"
                       + format_rows(summarize(sides["parent"], sides["change"],
-                                              spec["end_to_end"])))
+                                              spec["end_to_end"]))
+                      + "\n" + format_digests(digests[workload]["parent"],
+                                              digests[workload]["change"]))
     print("\n\n".join(tables))
     return 0
 

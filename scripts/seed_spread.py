@@ -34,6 +34,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
+# zerommt first: importing it picks one BLAS thread unless the user chose,
+# which works only before numpy loads (here and in each spawned worker)
+import zerommt  # noqa: E402,F401
 import test_acceptance as acc  # noqa: E402
 from zerommt import evaluation as ev  # noqa: E402
 from zerommt import model as m  # noqa: E402

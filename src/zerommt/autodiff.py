@@ -4,10 +4,11 @@ Small op surface, just enough for a toy transformer: primitives
 (elementwise arithmetic, ReLU/exp/log, stable softmax / log-softmax,
 reshape, embedding lookup, concatenation, gather) and one node per layer
 (``linear``, ``mlp``, multi-head ``attention``, ``layer_norm``).
-``linear``, ``mlp`` and ``attention`` run the numpy calls of the primitive
+``linear``, ``mlp`` and ``attention`` compute the numbers of the primitive
 chains they replace (matmul, transpose and the ops here; the tests keep
-those chains as oracles), in the same order, so their numbers are those
-chains' bit for bit.
+those chains as oracles) bit for bit, with the same numpy calls in the
+same order, except that ``attention`` takes its softmax row max key column
+by key column, which is exact.
 
 The tape holds gradient routes, not tensors. A recorded op output gets a
 small node (its gradient, its parents' nodes, its closure); a leaf is its
@@ -25,6 +26,12 @@ Everything is float64 and fully deterministic: two
 identical forward+backward passes produce bit-identical numbers.
 ``backward`` consumes the graph it walks: nodes are freed as their
 gradients pass, and only leaves keep ``.grad``.
+
+A kernel writes in place only into arrays it allocated itself in the same
+call. It never writes into an incoming gradient ``g`` (``add``'s backward
+hands the same array to both parents, and ``_accumulate`` keeps it as a
+gradient), into an array that a node or a recipe keeps, or into a
+parameter.
 """
 
 from __future__ import annotations
@@ -330,7 +337,12 @@ def attention(q, k, v, mask: np.ndarray, n_heads: int
     probs = np.matmul(qh, kt)
     probs *= s
     probs += mask
-    probs -= np.max(probs, axis=-1, keepdims=True)
+    # the row max of the softmax, taken key column by key column: max is
+    # exact, and np.max reduces many short rows slowly
+    top = probs[..., 0].copy()
+    for j in range(1, probs.shape[-1]):
+        np.maximum(top, probs[..., j], out=top)
+    probs -= top[..., None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
 
@@ -420,9 +432,9 @@ def clip_min(a, floor: float) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Stable softmax (max-subtracted). ``-inf`` entries get exactly 0."""
     a = _as_tensor(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = np.subtract(a.data, np.max(a.data, axis=axis, keepdims=True))
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
 
     def bwd(g, na):
         inner = (g * p).sum(axis=axis, keepdims=True)
@@ -457,28 +469,41 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs features {x.shape[-1]}"
         )
     n = x.shape[-1]
-    # each mean is sum / n, which is what np.mean computes
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    var = (centered ** 2).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    # each mean is sum / n, which is what np.mean computes; xhat holds the
+    # centred input until it is scaled, and out its square until the output
+    mean = x.data.sum(axis=-1, keepdims=True)
+    mean /= n
+    xhat = np.subtract(x.data, mean)
+    out = np.square(xhat)
+    inv = out.sum(axis=-1, keepdims=True)
+    inv /= n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
     gain_data, bias_data = gain.data, bias.data
 
-    def output() -> np.ndarray:
-        out = gain_data * xhat
+    def output(out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(gain_data, xhat, out=out)
         out += bias_data
         return out
 
-    data = output()
+    data = output(out)
 
     def bwd(g, nx, ngain, nbias):
         if nx is not None:
+            # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gain
             gg = g * gain_data
-            _accumulate(nx, inv * (
-                gg
-                - gg.sum(axis=-1, keepdims=True) / n
-                - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / n)
-            ))
+            prod = gg * xhat
+            mean_gx = prod.sum(axis=-1, keepdims=True)
+            mean_gx /= n
+            np.multiply(xhat, mean_gx, out=prod)
+            mean_g = gg.sum(axis=-1, keepdims=True)
+            mean_g /= n
+            gg -= mean_g
+            gg -= prod
+            gg *= inv
+            _accumulate(nx, gg)
         axes = tuple(range(g.ndim - 1))
         if ngain is not None:
             _accumulate(ngain, (g * xhat).sum(axis=axes))

@@ -65,7 +65,10 @@ def load_config(path: str | None, seed: int | None) -> RunConfig:
         config.world.seed = seed
         config.pretrain.seed = seed
         config.train.seed = seed
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
     return config
 
 

@@ -103,6 +103,21 @@ class MultimodalScorer(_ModelScorer):
         return super().distributions(srcs, images, tgts)
 
 
+def _per_length_group(fn, tgts, *columns) -> list:
+    """``fn`` called once per group of equal-length targets in ``tgts``, on
+    each of ``columns`` (lists parallel to ``tgts``) stacked over the
+    group; the items of its results, one per sequence in input order."""
+    groups: dict[int, list[int]] = {}
+    for k, y in enumerate(tgts):
+        groups.setdefault(len(y), []).append(k)
+    out = [None] * len(tgts)
+    for group in groups.values():
+        results = fn(*(np.stack([col[k] for k in group]) for col in columns))
+        for k, result in zip(group, results):
+            out[k] = result
+    return out
+
+
 class CfgScorer:
     """Guidance blend of a text-only and a multimodal scorer."""
 
@@ -113,10 +128,14 @@ class CfgScorer:
         self.space = space
 
     def distributions(self, srcs, images, tgts) -> list[np.ndarray]:
+        """The blend of both scorers' distributions, one ``cfg_distribution``
+        call per group of equal-length targets; it blends each row alone,
+        so a group's rows are those of its sequences blended one by one."""
         pt = self.text_scorer.distributions(srcs, images, tgts)
         pm = self.mm_scorer.distributions(srcs, images, tgts)
-        return [cfg_distribution(t, mm, self.gamma, self.space)
-                for t, mm in zip(pt, pm)]
+        return _per_length_group(
+            lambda t, mm: cfg_distribution(t, mm, self.gamma, self.space),
+            tgts, pt, pm)
 
 
 def make_scorer(params: ModelParams, gamma: float = 1.0, space: str = "log"):
@@ -135,26 +154,33 @@ def make_scorer(params: ModelParams, gamma: float = 1.0, space: str = "log"):
 # perplexity and the contrastive protocol
 
 
-def sequence_perplexity(dists: np.ndarray, y) -> float:
+def sequence_perplexity(dists: np.ndarray, y) -> float | np.ndarray:
     """exp of the mean per-token negative log-probability of ``y`` under
     its teacher-forced next-token distributions ``dists`` (one row per
-    token after BOS)."""
-    if len(y) < 2 or y[-1] != m.EOS:
+    token after BOS). ``dists`` (..., T, V) and ``y`` (..., T + 1) may
+    share leading batch axes of equal-length sequences: then the result
+    is an array over them, each entry that sequence's perplexity alone;
+    one sequence gives a float."""
+    y = np.asarray(y)
+    if y.shape[-1] < 2 or np.any(y[..., -1] != m.EOS):
         raise ValueError("target must be nonempty and EOS-terminated")
-    if len(dists) != len(y) - 1:
-        raise ValueError(f"{len(dists)} distributions for {len(y) - 1} tokens")
-    gold = np.asarray(y[1:])
-    probs = dists[np.arange(len(gold)), gold]
-    nll = -np.log(np.maximum(probs, 1e-300)).mean()
-    return float(np.exp(nll))
+    dists = np.asarray(dists)
+    if dists.shape[:-1] != y.shape[:-1] + (y.shape[-1] - 1,):
+        raise ValueError(f"{dists.shape[-2]} distributions for "
+                         f"{y.shape[-1] - 1} tokens")
+    probs = np.take_along_axis(dists, y[..., 1:, None], axis=-1)[..., 0]
+    nll = -np.log(np.maximum(probs, 1e-300)).mean(axis=-1)
+    ppl = np.exp(nll)
+    return float(ppl) if ppl.ndim == 0 else ppl
 
 
 def commute_rows(
     scorer, instances: list[ContrastiveInstance]
 ) -> list[InstanceRow]:
     """One row per orientation of every instance, from one ``distributions``
-    call over all their sequences; a row scores 1 iff the correct
-    translation has strictly lower perplexity."""
+    call over all their sequences and one ``sequence_perplexity`` call per
+    target length; a row scores 1 iff the correct translation has strictly
+    lower perplexity."""
     if not instances:
         raise ValueError("no contrastive instances")
     srcs, images, tgts = [], [], []
@@ -166,7 +192,8 @@ def commute_rows(
                 images.append(img)
                 tgts.append(tuple(y))
     dists = scorer.distributions(srcs, images, tgts)
-    ppl = iter([sequence_perplexity(d, y) for d, y in zip(dists, tgts)])
+    ppl = iter(_per_length_group(
+        lambda d, y: sequence_perplexity(d, y).tolist(), tgts, dists, tgts))
     rows = []
     for inst in instances:
         for orientation in "ab":

@@ -458,13 +458,26 @@ def _read_jsonl(path, parse) -> list:
     return out
 
 
+def _image(obj: dict, key: str) -> np.ndarray:
+    """``obj[key]`` as a float64 vector of finite JSON numbers; Python's
+    ``json`` reads ``NaN`` and ``Infinity`` as floats, so they are refused
+    here."""
+    values = json_list(float, obj[key], key)
+    image = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(image))
+    if bad.size:
+        raise ValueError(f"{key}[{bad[0]}] must be a finite number, got "
+                         f"{json.dumps(values[bad[0]])}")
+    return image
+
+
 def _record(obj: dict, ints: tuple[str, ...], images: tuple[str, ...]) -> dict:
     """The fields of one JSONL record ``obj``: its id and each of ``ints``
-    JSON integers, each of ``images`` a float64 vector of JSON numbers."""
+    JSON integers, each of ``images`` a float64 vector of finite JSON
+    numbers."""
     out = {"id": json_value(int, obj["id"], "id")}
     out.update((key, json_list(int, obj[key], key)) for key in ints)
-    out.update((key, np.asarray(json_list(float, obj[key], key),
-                                dtype=np.float64)) for key in images)
+    out.update((key, _image(obj, key)) for key in images)
     return out
 
 

@@ -1,8 +1,11 @@
 """Reference computations the tests compare the program against: central
 finite differences of any op, the matmul and transpose primitives that the
 ``linear``, ``mlp`` and ``attention`` nodes replace (their reference chains
-are built from them), and an adaptation objective summed into one tensor
-(training backpropagates its terms one at a time instead)."""
+are built from them), an adaptation objective summed into one tensor
+(training backpropagates its terms one at a time instead), and the
+formulas that faster kernels replaced, which those kernels must equal
+byte for byte: attention's ``np.max`` row max, layer norm and softmax on
+temporaries, and per-sequence blends and perplexities."""
 
 from __future__ import annotations
 
@@ -12,6 +15,8 @@ import numpy as np
 
 from zerommt import autodiff as ad
 from zerommt import objectives as obj
+from zerommt.decoding import cfg_distribution
+from zerommt.evaluation import CfgScorer
 from zerommt.autodiff import (ShapeError, Tensor, _accumulate, _as_tensor,
                               _make, _unbroadcast)
 
@@ -117,3 +122,93 @@ def summed_terms(batch, params, mode: str, lam: float, base_lp=None
         parts[name] = term
         total = weighted if total is None else ad.add(total, weighted)
     return total, parts.get("vmlm"), parts.get("anchor")
+
+
+# ---------------------------------------------------------------------------
+# the formulas the faster kernels replaced
+
+
+def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                      mask: np.ndarray, n_heads: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``ad.attention``'s merged heads and probabilities, with the softmax
+    row max taken by ``np.max``."""
+    bq, sq, d = q.shape
+    dh = d // n_heads
+
+    def split_heads(t: np.ndarray) -> np.ndarray:
+        return t.reshape(t.shape[:2] + (n_heads, dh)).transpose(0, 2, 1, 3)
+
+    qh, vh = split_heads(q), split_heads(v)
+    kt = split_heads(k).transpose(0, 1, 3, 2)
+    probs = np.matmul(qh, kt)
+    probs *= float(1.0 / np.sqrt(dh))
+    probs += mask
+    probs -= np.max(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    merged = np.matmul(probs, vh).transpose(0, 2, 1, 3).reshape(bq, sq, d)
+    return merged, probs
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    """Stable softmax with a temporary per step."""
+    a = _as_tensor(a)
+    top = np.max(a.data, axis=axis, keepdims=True)
+    e = np.exp(a.data - top)
+    p = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g, na):
+        inner = (g * p).sum(axis=axis, keepdims=True)
+        _accumulate(na, p * (g - inner))
+
+    return _make(p, (a,), bwd)
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Layer norm with a temporary per step, forward and backward."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    n = x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    data = gain.data * xhat
+    data += bias.data
+
+    def bwd(g, nx, ngain, nbias):
+        if nx is not None:
+            gg = g * gain.data
+            _accumulate(nx, inv * (
+                gg
+                - gg.sum(axis=-1, keepdims=True) / n
+                - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / n)
+            ))
+        axes = tuple(range(g.ndim - 1))
+        if ngain is not None:
+            _accumulate(ngain, (g * xhat).sum(axis=axes))
+        if nbias is not None:
+            _accumulate(nbias, g.sum(axis=axes))
+
+    return _make(data, (x, gain, bias), bwd)
+
+
+def sequence_perplexity(dists: np.ndarray, y) -> float:
+    """The perplexity of one target ``y`` under its ``dists``."""
+    gold = np.asarray(y[1:])
+    probs = dists[np.arange(len(gold)), gold]
+    nll = -np.log(np.maximum(probs, 1e-300)).mean()
+    return float(np.exp(nll))
+
+
+def per_sequence_perplexities(scorer, srcs, images, tgts) -> list[float]:
+    """Each sequence's perplexity under ``scorer``, a guided scorer's
+    blend made one sequence at a time."""
+    if isinstance(scorer, CfgScorer):
+        pt = scorer.text_scorer.distributions(srcs, images, tgts)
+        pm = scorer.mm_scorer.distributions(srcs, images, tgts)
+        dists = [cfg_distribution(t, mm, scorer.gamma, scorer.space)
+                 for t, mm in zip(pt, pm)]
+    else:
+        dists = scorer.distributions(srcs, images, tgts)
+    return [sequence_perplexity(d, y) for d, y in zip(dists, tgts)]

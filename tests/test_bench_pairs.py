@@ -122,3 +122,54 @@ def test_a_failed_run_names_its_workload_and_exits_1(tmp_path, monkeypatch,
     assert bp.main(["--parent", str(tmp_path), "--change", str(tmp_path),
                     "--workload", "train", "score", "--seed", "7"]) == 1
     assert "pair 1, score, parent: perfbench exited 2" in capsys.readouterr().err
+
+
+def test_each_table_counts_the_pairs_whose_pass_digests_are_equal(
+        tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        # each run overwrites its checkout's record, as perfbench/run.py does
+        runs.append((checkout.name, workload))
+        pair = sum(r == (checkout.name, workload) for r in runs)
+        digest = "same"
+        if workload == "score" and checkout == change and pair == 2:
+            digest = "moved"
+        records = checkout / ".perfbench" / "records"
+        records.mkdir(parents=True, exist_ok=True)
+        passes = [{"digests": {"sha": digest}}, {"digests": {"sha": "later"}}]
+        if not (workload == "train" and checkout == parent and pair == 3):
+            (records / f"{workload}-seed{seed}-trace0.json").write_text(
+                json.dumps({"passes": passes}))
+        else:
+            (records / f"{workload}-seed{seed}-trace0.json").unlink()
+        return {"metrics": {"items_per_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bp, "run_once", run_once)
+    assert bp.main(["--parent", str(parent), "--change", str(change),
+                    "--workload", "train", "score", "--seed", "7",
+                    "--pairs", "3", "--seconds", "1"]) == 0
+    train, score = capsys.readouterr().out.split("\n\nscore, seed 7")
+    # the third train pair's parent left no record
+    assert train.splitlines()[-1] == \
+        "pass digests equal in 2/3 pairs (1 of 6 runs left no record)"
+    # the first pass's digests count, not a later pass's
+    assert score.splitlines()[-1] == "pass digests equal in 2/3 pairs"
+
+
+def test_pass_digests_of_a_missing_or_malformed_record_are_none(tmp_path):
+    assert bp.pass_digests(tmp_path, "score", 3) is None
+    records = tmp_path / ".perfbench" / "records"
+    records.mkdir(parents=True)
+    (records / "score-seed3-trace0.json").write_text("{not json")
+    assert bp.pass_digests(tmp_path, "score", 3) is None
+    (records / "score-seed3-trace0.json").write_text('{"passes": []}')
+    assert bp.pass_digests(tmp_path, "score", 3) is None
+    (records / "score-seed3-trace0.json").write_text(
+        '{"passes": [{"digests": {"a": "b"}}]}')
+    assert bp.pass_digests(tmp_path, "score", 3) == {"a": "b"}
+    assert bp.format_digests([None, {"a": "b"}], [None, {"a": "b"}]) \
+        == "pass digests equal in 1/2 pairs (2 of 4 runs left no record)"

@@ -2,8 +2,12 @@
 stage runs inside one shared run directory and leaves the promised files."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -480,15 +484,17 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ({"train": {"lr": {"x": 1}}}, 'config.train.lr must be float, got {"x": 1}'),
     ({"eval_beam_width": 0}, "config.eval_beam_width must be positive, got 0"),
     ({"pretrain": {"max_steps": 0}}, "config.pretrain: batch_size and max_steps"),
+    ({"targets": "silver"}, "targets must be pseudo or gold, got 'silver'"),
 ])
 def test_mistyped_config_values_fail_at_load_by_key(tmp_path, capsys, raw,
                                                     message):
+    # type errors and validation errors alike name the config file
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     capsys.readouterr()
     assert cli.main(["gen", "--config", str(bad),
                      "--out", str(tmp_path / "out")]) == 1
-    assert message in capsys.readouterr().err
+    assert f"{bad}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "corpus").exists()
     # an int stands for a float
     bad.write_text(json.dumps({"train": {"lr": 1}}))
@@ -546,3 +552,20 @@ def test_seed_override_reaches_all_stages(tmp_path):
     assert payload["config"]["world"]["seed"] == 7
     assert payload["config"]["pretrain"]["seed"] == 7
     assert payload["config"]["train"]["seed"] == 7
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+def test_importing_zerommt_picks_one_blas_thread_unless_the_user_chose(
+        preset, want):
+    """Set before numpy first loads, so a fresh process sees it; a value
+    the user set stays."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = Path(cli.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, sys, zerommt; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out == [want, "True"]

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zerommt import autodiff as ad
 from zerommt import decoding as dec
@@ -14,6 +16,8 @@ from zerommt import evaluation as ev
 from zerommt import model as m
 from zerommt import objectives as obj
 from zerommt.evaluation import ContrastiveInstance
+
+import oracles
 
 
 class TableScorer:
@@ -68,6 +72,34 @@ def test_sequence_perplexity_rejects_malformed_target():
     # one distribution per target token after BOS, no more, no less
     with pytest.raises(ValueError):
         ev.sequence_perplexity(np.full((3, 8), 0.125), [m.BOS, 5, m.EOS])
+
+
+@given(lead=st.lists(st.integers(1, 5), min_size=0, max_size=2),
+       t=st.integers(1, 12), vocab=st.sampled_from([8, 16, 64]),
+       seed=st.integers(0, 2**16))
+def test_sequence_perplexity_over_batch_axes_equals_each_sequence(lead, t,
+                                                                  vocab, seed):
+    rng = np.random.default_rng(seed)
+    dists = rng.dirichlet(np.full(vocab, 0.5), size=(*lead, t))
+    dists[rng.random(dists.shape) < 0.05] = 0.0  # gold tokens may get 0
+    y = rng.integers(4, vocab, size=(*lead, t + 1))
+    y[..., 0], y[..., -1] = m.BOS, m.EOS
+    got = ev.sequence_perplexity(dists, y)
+    if not lead:
+        assert type(got) is float
+        assert got == oracles.sequence_perplexity(dists, list(y))
+        return
+    assert got.shape == tuple(lead)
+    for idx in np.ndindex(*lead):
+        assert got[idx] == oracles.sequence_perplexity(dists[idx], list(y[idx]))
+
+
+def test_sequence_perplexity_rejects_a_batch_with_one_bad_target():
+    y = np.array([[m.BOS, 5, m.EOS], [m.BOS, 5, 6]])
+    with pytest.raises(ValueError, match="EOS-terminated"):
+        ev.sequence_perplexity(np.full((2, 2, 8), 0.125), y)
+    with pytest.raises(ValueError, match="3 distributions for 2 tokens"):
+        ev.sequence_perplexity(np.full((2, 3, 8), 0.125), y[:1].repeat(2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -467,3 +499,49 @@ def test_translation_bleu_scores_the_dispatched_translations(tiny_params):
         want = ev.bleu(hyps, [ex.tgt[1:-1] for ex in examples])
         got = ev.translation_bleu(tiny_params, examples, gamma, width=2)
         assert got == want
+
+
+def _mixed_length_instances(config, n, seed):
+    """``n`` contrastive instances whose two targets have 2-9 tokens each,
+    so orientations of one instance fall into different length groups."""
+    rng = np.random.default_rng(seed)
+    words = np.arange(4, config.vocab_size)
+
+    def seq(lo, hi):
+        return [int(t) for t in rng.choice(words, rng.integers(lo, hi))]
+
+    return [ContrastiveInstance(
+        id=k, src=seq(1, 8),
+        img_a=rng.standard_normal(config.image_dim),
+        tgt_a=[m.BOS] + seq(0, 8) + [m.EOS],
+        img_b=rng.standard_normal(config.image_dim),
+        tgt_b=[m.BOS] + seq(0, 8) + [m.EOS]) for k in range(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_commute_rows_equal_a_per_sequence_loop(tiny_params, seed):
+    """Blends and perplexities per length group give every row the bytes
+    of one sequence at a time."""
+    m.randomize_extras(tiny_params, seed=30 + seed)
+    instances = _mixed_length_instances(tiny_params.config, 23, seed)
+    assert len({len(i.tgt_a) for i in instances}
+               | {len(i.tgt_b) for i in instances}) > 3
+    srcs, images, tgts = [], [], []
+    for inst in instances:
+        for img, y_c, y_w in ((inst.img_a, inst.tgt_a, inst.tgt_b),
+                              (inst.img_b, inst.tgt_b, inst.tgt_a)):
+            srcs += [tuple(inst.src)] * 2
+            images += [img, img]
+            tgts += [tuple(y_c), tuple(y_w)]
+    text = ev.TextOnlyScorer(tiny_params)
+    mm = ev.MultimodalScorer(tiny_params)
+    scorers = [text, mm, ev.CfgScorer(text, mm, 2.0),
+               ev.CfgScorer(text, mm, 3.0, "prob_clip")]
+    for scorer in scorers:
+        want = oracles.per_sequence_perplexities(scorer, srcs, images, tgts)
+        rows = ev.commute_rows(scorer, instances)
+        got = [p for r in rows for p in (r.ppl_correct, r.ppl_wrong)]
+        assert all(type(p) is float for p in got)
+        assert got == want
+        assert [r.score for r in rows] == [
+            int(c < w) for c, w in zip(want[::2], want[1::2])]

@@ -3,6 +3,7 @@ and the JSONL round trip."""
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -338,6 +339,12 @@ def test_malformed_jsonl_reports_line_number(tmp_path):
     ("tgt", [1, True, 2], "{key}[1] must be int, got true"),
     ("img", ["1.5", True, 3, 4], '{key}[0] must be float, got "1.5"'),
     ("img", [1.5, True, 3, 4], "{key}[1] must be float, got true"),
+    # Python's json reads NaN and Infinity; an image must not hold them
+    ("img", [math.nan, math.inf, 0.0, 1.0],
+     "{key}[0] must be a finite number, got NaN"),
+    ("img", [0.0, math.inf], "{key}[1] must be a finite number, got Infinity"),
+    ("img", [0.0, 1.0, -math.inf],
+     "{key}[2] must be a finite number, got -Infinity"),
 ])
 def test_jsonl_readers_reject_malformed_sequences(tmp_path, field, value,
                                                   message):
