@@ -14,7 +14,9 @@ is an aid for reading the table, not the benchmark's own verdict. After
 each run it reads the first pass's digests from the run record that
 checkout wrote (``.perfbench/records/<workload>-seed<n>-trace0.json``),
 and for each workload it prints in how many pairs the parent's and the
-change's digests were equal: a bit-for-bit change must read n/n.
+change's digests were equal: a bit-for-bit change must read n/n. Under
+each table's title it prints each checkout's ``src/zerommt/*.py`` line
+count.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload train score --seed 31 --pairs 10 --seconds 30
@@ -93,6 +95,12 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/zerommt/*.py`` in ``checkout``."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (checkout / "src" / "zerommt").glob("*.py"))
+
+
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
     """One untraced benchmark run in ``checkout``: its JSON summary."""
@@ -162,10 +170,13 @@ def main(argv: list[str] | None = None) -> int:
                 digests[workload][side].append(pass_digests(
                     getattr(args, side), workload, args.seed))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    lines = (f"src/zerommt/*.py lines: parent {src_lines(args.parent)}, "
+             f"change {src_lines(args.change)}")
     tables = []
     for workload, sides in runs.items():
         tables.append(f"{workload}, seed {args.seed}, {args.pairs} pairs of "
                       f"{args.seconds:g} s runs, alternating order\n"
+                      + lines + "\n"
                       + format_rows(summarize(sides["parent"], sides["change"],
                                               spec["end_to_end"]))
                       + "\n" + format_digests(digests[workload]["parent"],

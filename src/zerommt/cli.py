@@ -43,6 +43,10 @@ class RunConfig:
                 getattr(self, name).validate()
             except ValueError as e:
                 raise ValueError(f"config.{name}: {e}") from e
+        if self.world.image_dim != self.model.image_dim:
+            raise ValueError(
+                f"config.world.image_dim {self.world.image_dim} != "
+                f"config.model.image_dim {self.model.image_dim}")
         if self.targets not in ("pseudo", "gold"):
             raise ValueError(f"targets must be pseudo or gold, got {self.targets!r}")
         if self.cfg_space not in ("log", "prob_clip"):
@@ -107,20 +111,13 @@ def _load_world(out: Path) -> sc.World:
         raise ValueError(f"{path}: {e}") from e
 
 
-def _split_io(name: str):
-    """(reader, writer) of the split ``name``: contrastive instances for a
-    ``*_contrastive`` split, examples for any other."""
-    if name.endswith("_contrastive"):
-        return sc.read_contrastive, sc.write_contrastive
-    return sc.read_examples, sc.write_examples
-
-
-def _load_split(out: Path, name: str, model_config: m.ModelConfig) -> list:
-    """The records of the split ``name``, each checked to fit a model of
-    ``model_config`` before any stage works on them; a split without
-    records fails here, by path."""
-    path = _corpus_dir(out) / f"{name}.jsonl"
-    records = _split_io(name)[0](path)
+def _load_split(out: Path, name: str, model_config: m.ModelConfig,
+                suffix: str = "") -> list:
+    """The records of the split ``name`` read from ``<name><suffix>.jsonl``,
+    each checked to fit a model of ``model_config`` before any stage works
+    on them; a split without records fails here, by path."""
+    path = _corpus_dir(out) / f"{name}{suffix}.jsonl"
+    records = sc.SPLITS[name].read(path)
     if not records:
         raise ValueError(f"{path}: no records")
     sc.check_fit(path, records, model_config)
@@ -136,14 +133,15 @@ def _load_model(path: Path) -> m.ModelParams:
 
 def _train_data(out: Path, config: RunConfig,
                 model_config: m.ModelConfig) -> tr.TrainData:
-    train_split = "mmt_train_pseudo" if config.targets == "pseudo" else "mmt_train"
-    path = _corpus_dir(out) / f"{train_split}.jsonl"
-    if config.targets == "pseudo" and not path.exists():
+    suffix = "_pseudo" if config.targets == "pseudo" else ""
+    path = _corpus_dir(out) / f"mmt_train{suffix}.jsonl"
+    if suffix and not path.exists():
         raise FileNotFoundError(
             f"{path} missing: run the translate stage first (or set targets=gold)"
         )
-    return tr.TrainData(*(_load_split(out, name, model_config) for name in
-                          (train_split, "val_contrastive", "val_translation")))
+    return tr.TrainData(_load_split(out, "mmt_train", model_config, suffix),
+                        *(_load_split(out, name, model_config)
+                          for name in ("val_contrastive", "val_translation")))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +154,10 @@ def cmd_gen(config: RunConfig, out: Path) -> None:
     cdir = _corpus_dir(out)
     cdir.mkdir(parents=True, exist_ok=True)
     _write_json(cdir / "world.json", _meta(config, world=sc.world_to_dict(world)))
-    for f in dataclasses.fields(sc.Splits):
-        records = getattr(splits, f.name)
-        _split_io(f.name)[1](cdir / f"{f.name}.jsonl", records)
-        print(f"{f.name}: {len(records)}")
+    for name, split in sc.SPLITS.items():
+        records = getattr(splits, name)
+        split.write(cdir / f"{name}.jsonl", records)
+        print(f"{name}: {len(records)}")
 
 
 def cmd_pretrain(config: RunConfig, out: Path) -> None:
@@ -192,11 +190,11 @@ def cmd_translate(config: RunConfig, out: Path) -> None:
     )
 
 
-def cmd_train(config: RunConfig, out: Path, mode: str) -> None:
+def cmd_train(config: RunConfig, out: Path) -> None:
+    mode = config.train.mode
     base = _load_model(out / "base.ckpt")
     data = _train_data(out, config, base.config)
-    train_config = dataclasses.replace(config.train, mode=mode)
-    result = tr.train(train_config, data, base)
+    result = tr.train(config.train, data, base)
     run_dir = out / f"train_{mode}"
     run_dir.mkdir(parents=True, exist_ok=True)
     m.save_checkpoint(
@@ -367,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="adapt the frozen base")
     common(p_train)
-    p_train.add_argument("--mode", choices=tr.TRAIN_MODES, default="full")
+    p_train.add_argument("--mode", choices=tr.TRAIN_MODES, default=None,
+                         help="adaptation mode (default: the config's "
+                              "train.mode)")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p_eval)
@@ -401,7 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         elif stage == "translate":
             cmd_translate(config, out)
         elif stage == "train":
-            cmd_train(config, out, args.mode)
+            if args.mode is not None:
+                config.train.mode = args.mode
+            cmd_train(config, out)
         elif stage == "eval":
             cmd_eval(config, out,
                      Path(args.ckpt) if args.ckpt else None,

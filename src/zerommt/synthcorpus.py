@@ -5,12 +5,11 @@ a deterministic word-for-word mapping. A subset of source words is
 ambiguous: each has two sense-dependent translations. Images are sense
 centroids plus Gaussian noise, so the visual channel carries exactly the
 information needed to disambiguate. Optional cue tokens reveal the sense
-textually, mirroring captions that are unambiguous in context. The caption
-split draws plain words from a restricted sub-lexicon, mirroring the
-domain gap between caption corpora and translation benchmarks.
+textually, mirroring captions that are unambiguous in context.
 
 All artifacts are pure functions of (spec, sizes, seed): each example gets
-its own seed stream keyed by (seed, split, index).
+its own seed stream keyed by (seed, split tag, index), and ``SPLITS`` holds
+each split's tag, sampler and JSONL codec.
 """
 
 from __future__ import annotations
@@ -18,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,12 @@ from .objectives import BatchExample
 from . import decoding
 
 N_SPECIALS = len(SPECIAL_TOKENS)
+# share of sampled sentences that get an ambiguous word, share of those
+# that also get the cue token of its sense, and the image noise at
+# sense_cluster_separation 1
+AMBIGUITY_RATE = 0.5
+CONTEXT_CUE_RATE = 0.8
+IMAGE_NOISE_SIGMA = 0.2
 
 
 @dataclass
@@ -36,12 +43,8 @@ class WorldSpec:
     n_ambiguous_words: int = 8
     sent_len_min: int = 3
     sent_len_max: int = 7
-    ambiguity_rate: float = 0.5
-    context_cue_rate: float = 0.8
-    caption_domain_fraction: float = 1.0
     image_dim: int = 16
     sense_cluster_separation: float = 1.0
-    image_noise_sigma: float = 0.2
     seed: int = 0
 
     def validate(self) -> None:
@@ -51,16 +54,9 @@ class WorldSpec:
             raise ValueError("n_ambiguous_words must be nonnegative")
         if not 1 <= self.sent_len_min <= self.sent_len_max:
             raise ValueError("bad sentence length range")
-        for name in ("ambiguity_rate", "context_cue_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0.0 < self.caption_domain_fraction <= 1.0:
-            raise ValueError("caption_domain_fraction must be in (0, 1]")
-        # chained comparisons are false for NaN, so these reject it too
+        # a chained comparison is false for NaN, so this rejects it too
         if not 0.0 < self.sense_cluster_separation < math.inf:
             raise ValueError("sense_cluster_separation must be finite and positive")
-        if not 0.0 <= self.image_noise_sigma < math.inf:
-            raise ValueError("image_noise_sigma must be finite and nonnegative")
 
 
 @dataclass
@@ -78,15 +74,6 @@ class World:
     def has_ambiguity(self) -> bool:
         return bool(self.amb_src)
 
-    @property
-    def caption_plain_src(self) -> list[int]:
-        """Plain words the caption domain draws from. Captions cover only
-        the leading fraction of the plain lexicon, so translation test
-        sentences contain words never seen during adaptation."""
-        n = max(1, int(np.ceil(self.spec.caption_domain_fraction
-                               * len(self.plain_src))))
-        return self.plain_src[:n]
-
     def centroid(self, word: int | None, sense: int | None) -> np.ndarray:
         key = "neutral" if word is None else f"{word}:{sense}"
         return np.asarray(self.centroids[key])
@@ -94,7 +81,7 @@ class World:
     def sample_image(
         self, word: int | None, sense: int | None, rng: np.random.Generator
     ) -> np.ndarray:
-        sigma = self.spec.image_noise_sigma / self.spec.sense_cluster_separation
+        sigma = IMAGE_NOISE_SIGMA / self.spec.sense_cluster_separation
         return self.centroid(word, sense) + sigma * rng.standard_normal(
             self.spec.image_dim
         )
@@ -219,21 +206,19 @@ def _sample_example(
     rng: np.random.Generator,
     forbid_ambiguous: bool = False,
     with_image: bool = False,
-    caption_domain: bool = False,
 ) -> Example:
     spec = world.spec
-    pool = world.caption_plain_src if caption_domain else world.plain_src
     n = int(rng.integers(spec.sent_len_min, spec.sent_len_max + 1))
-    src = [_draw(pool, rng) for _ in range(n)]
+    src = [_draw(world.plain_src, rng) for _ in range(n)]
     word = sense = None
     has_cue = False
     # generate_splits admits only worlds with ambiguous words
-    if not forbid_ambiguous and rng.random() < spec.ambiguity_rate:
+    if not forbid_ambiguous and rng.random() < AMBIGUITY_RATE:
         pos = int(rng.integers(n))
         word = _draw(world.amb_src, rng)
         sense = int(rng.integers(2))
         src[pos] = word
-        if rng.random() < spec.context_cue_rate:
+        if rng.random() < CONTEXT_CUE_RATE:
             cue_pos = int(rng.integers(n + 1))
             src.insert(cue_pos, world.cue[(word, sense)])
             has_cue = True
@@ -265,13 +250,33 @@ def _sample_contrastive(
     )
 
 
-_SPLIT_TAGS = {
-    "pretrain_parallel": 1,
-    "mmt_train": 2,
-    "val_contrastive": 3,
-    "val_translation": 4,
-    "test_contrastive": 5,
-    "test_translation": 6,
+class Split(NamedTuple):
+    """A generated split: the tag of its examples' seed streams, the sampler
+    ``sample(world, ex_id, rng)`` of one record, and whether its records are
+    contrastive instances, which picks its JSONL reader and writer."""
+    tag: int
+    sample: Callable
+    contrastive: bool = False
+
+    # looked up on each use, so a wrapper set on the module is what runs
+    @property
+    def read(self) -> Callable:
+        return read_contrastive if self.contrastive else read_examples
+
+    @property
+    def write(self) -> Callable:
+        return write_contrastive if self.contrastive else write_examples
+
+
+_translation = partial(_sample_example, forbid_ambiguous=True, with_image=True)
+# every split, in the order of Splits and SplitSizes
+SPLITS = {
+    "pretrain_parallel": Split(1, _sample_example),
+    "mmt_train": Split(2, partial(_sample_example, with_image=True)),
+    "val_contrastive": Split(3, _sample_contrastive, contrastive=True),
+    "val_translation": Split(4, _translation),
+    "test_contrastive": Split(5, _sample_contrastive, contrastive=True),
+    "test_translation": Split(6, _translation),
 }
 
 
@@ -281,65 +286,31 @@ def generate_splits(world: World, sizes: SplitSizes) -> Splits:
         raise ValueError(
             "no ambiguous words in this world: contrastive sets cannot be built"
         )
-    seed = world.spec.seed
 
-    def rng_for(split: str, idx: int) -> np.random.Generator:
-        return np.random.default_rng([seed, _SPLIT_TAGS[split], idx])
+    def draw(name: str, ex_id: int, idx: int):
+        split = SPLITS[name]
+        rng = np.random.default_rng([world.spec.seed, split.tag, idx])
+        return split.sample(world, ex_id, rng)
 
-    splits = Splits()
+    splits = Splits(**{
+        name: [draw(name, k, k) for k in range(getattr(sizes, name))]
+        for name in SPLITS if name != "pretrain_parallel"
+    })
     # Uncued ambiguous pretraining sentences are emitted as same-source
     # pairs covering both senses, so the base learns a genuine 50/50 split
     # instead of memorizing one arbitrary sense per sentence.
-    draw = 0
-    while len(splits.pretrain_parallel) < sizes.pretrain_parallel:
-        ex = _sample_example(
-            world, len(splits.pretrain_parallel),
-            rng_for("pretrain_parallel", draw),
-        )
-        draw += 1
-        splits.pretrain_parallel.append(ex)
-        if (
-            ex.amb_word is not None
-            and not ex.has_cue
-            and len(splits.pretrain_parallel) < sizes.pretrain_parallel
-        ):
+    pairs, idx = splits.pretrain_parallel, 0
+    while len(pairs) < sizes.pretrain_parallel:
+        ex = draw("pretrain_parallel", len(pairs), idx)
+        idx += 1
+        pairs.append(ex)
+        if (ex.amb_word is not None and not ex.has_cue
+                and len(pairs) < sizes.pretrain_parallel):
             flipped = 1 - ex.sense
-            splits.pretrain_parallel.append(
-                Example(
-                    id=len(splits.pretrain_parallel), src=list(ex.src),
-                    tgt=world.translate(ex.src, flipped), amb_word=ex.amb_word,
-                    sense=flipped,
-                )
-            )
-    for k in range(sizes.mmt_train):
-        splits.mmt_train.append(
-            _sample_example(
-                world, k, rng_for("mmt_train", k),
-                with_image=True, caption_domain=True,
-            )
-        )
-    for k in range(sizes.val_contrastive):
-        splits.val_contrastive.append(
-            _sample_contrastive(world, k, rng_for("val_contrastive", k))
-        )
-    for k in range(sizes.val_translation):
-        splits.val_translation.append(
-            _sample_example(
-                world, k, rng_for("val_translation", k),
-                forbid_ambiguous=True, with_image=True,
-            )
-        )
-    for k in range(sizes.test_contrastive):
-        splits.test_contrastive.append(
-            _sample_contrastive(world, k, rng_for("test_contrastive", k))
-        )
-    for k in range(sizes.test_translation):
-        splits.test_translation.append(
-            _sample_example(
-                world, k, rng_for("test_translation", k),
-                forbid_ambiguous=True, with_image=True,
-            )
-        )
+            pairs.append(Example(
+                id=len(pairs), src=list(ex.src),
+                tgt=world.translate(ex.src, flipped), amb_word=ex.amb_word,
+                sense=flipped))
     return splits
 
 
@@ -559,15 +530,20 @@ def world_to_dict(world: World) -> dict:
 
 def world_from_dict(obj: dict) -> World:
     """The world ``world_to_dict`` wrote. The spec is read by ``from_json``
-    (every key present) and every other field must equal, as JSON, the
-    world ``generate_world`` makes of it (an id 7.9 is no 7). Raises
-    ValueError naming the field, or KeyError for a missing one."""
+    (every key present), no other field may be added, and every field must
+    equal, as JSON, the world ``generate_world`` makes of it (an id 7.9 is
+    no 7). Raises ValueError naming the field, or KeyError for a missing
+    one."""
     spec = from_json(WorldSpec, obj["spec"], "world.spec")
     try:
         world = generate_world(spec, vocab_budget=math.inf)
     except ValueError as e:
         raise ValueError(f"world.spec: {e}") from e
-    for key, want in world_to_dict(world).items():
+    expected = world_to_dict(world)
+    unknown = sorted(set(obj) - set(expected))
+    if unknown:
+        raise ValueError(f"world: unknown keys {unknown}")
+    for key, want in expected.items():
         if json.dumps(obj[key], sort_keys=True) != json.dumps(want, sort_keys=True):
             raise ValueError(f"world.{key} is not the one world.spec generates")
     return world

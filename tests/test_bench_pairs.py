@@ -173,3 +173,22 @@ def test_pass_digests_of_a_missing_or_malformed_record_are_none(tmp_path):
     assert bp.pass_digests(tmp_path, "score", 3) == {"a": "b"}
     assert bp.format_digests([None, {"a": "b"}], [None, {"a": "b"}]) \
         == "pass digests equal in 1/2 pairs (2 of 4 runs left no record)"
+
+
+def test_each_table_prints_each_checkouts_source_line_count(
+        tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout, files in ((parent, {"a.py": "x\ny\n", "b.py": "z\n"}),
+                            (change, {"a.py": "x\n", "notes.txt": "n\n" * 9})):
+        (checkout / "src" / "zerommt").mkdir(parents=True)
+        for name, text in files.items():
+            (checkout / "src" / "zerommt" / name).write_text(text)
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(bp, "run_once", lambda *_: {"metrics": {}})
+    assert bp.src_lines(parent) == 3 and bp.src_lines(change) == 1
+    assert bp.main(["--parent", str(parent), "--change", str(change),
+                    "--workload", "train", "score", "--seed", "7",
+                    "--pairs", "1"]) == 0
+    tables = capsys.readouterr().out.split("\n\nscore, seed 7")
+    assert [t.splitlines()[1] for t in tables] == \
+        ["src/zerommt/*.py lines: parent 3, change 1"] * 2

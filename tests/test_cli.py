@@ -1,6 +1,7 @@
 """Command-line pipeline smoke tests on a miniature configuration: every
 stage runs inside one shared run directory and leaves the promised files."""
 
+import hashlib
 import json
 import os
 import re
@@ -79,6 +80,54 @@ def test_gen_is_byte_deterministic(run_dir, tmp_path):
             (out / "corpus" / name).read_bytes()
 
 
+# sha256 (first 16 hex digits) of each split's JSONL as `zerommt gen` writes
+# it at PINNED_SIZES, for the default world and the acceptance world
+# (sense_cluster_separation 2.0) at seeds 0 and 7
+PINNED_SIZES = sc.SplitSizes(
+    pretrain_parallel=40, mmt_train=12, val_contrastive=3, val_translation=3,
+    test_contrastive=4, test_translation=4,
+)
+PINNED_CORPUS = {
+    (1.0, 0): {"pretrain_parallel": "4f3c666d1e428746",
+               "mmt_train": "6dd0b33a9ddb0689",
+               "val_contrastive": "a2acfaeaf530b33f",
+               "val_translation": "b06f934320df8fcc",
+               "test_contrastive": "3645370dd43fca40",
+               "test_translation": "b3707f9959852ff0"},
+    (1.0, 7): {"pretrain_parallel": "d3680bdaf2428e03",
+               "mmt_train": "1a41cf80e2edb059",
+               "val_contrastive": "fcb88181f48f690d",
+               "val_translation": "a52e65220c0d7bc5",
+               "test_contrastive": "0df898ea4fd13a59",
+               "test_translation": "c291b0e4310d5bd3"},
+    (2.0, 0): {"pretrain_parallel": "4f3c666d1e428746",
+               "mmt_train": "112fcc5b8f34df9f",
+               "val_contrastive": "7f9ea477eb686c30",
+               "val_translation": "c8bc329f0f147224",
+               "test_contrastive": "be5652690aad063c",
+               "test_translation": "4b813d2b3024e6e7"},
+    (2.0, 7): {"pretrain_parallel": "d3680bdaf2428e03",
+               "mmt_train": "5201ba62bef25353",
+               "val_contrastive": "d99701723ed23a8f",
+               "val_translation": "f27fe32fefb94dcf",
+               "test_contrastive": "0a0c182ce9ceaf6f",
+               "test_translation": "dc38a7b1dac26a9d"},
+}
+
+
+@pytest.mark.parametrize("separation,seed", sorted(PINNED_CORPUS))
+def test_gen_writes_the_pinned_corpus(tmp_path, separation, seed):
+    # a moved draw anywhere in a split's generation or serialization shows
+    # here, by split name
+    config = cli.RunConfig(
+        world=sc.WorldSpec(sense_cluster_separation=separation, seed=seed),
+        sizes=PINNED_SIZES)
+    cli.cmd_gen(config, tmp_path)
+    got = {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+           for path in (tmp_path / "corpus").glob("*.jsonl")}
+    assert got == PINNED_CORPUS[separation, seed]
+
+
 def test_pretrain_saves_frozen_base(run_dir):
     _, out = run_dir
     params, meta = m.load_checkpoint(out / "base.ckpt")
@@ -132,6 +181,28 @@ def test_train_writes_checkpoint_and_log(run_dir):
     sidecar = json.loads((run / "train_log.csv.meta.json").read_text())
     assert sidecar["mode"] == "full"
     assert sidecar["config"]["train"]["max_steps"] == 6
+
+
+def test_train_without_mode_trains_the_configs_mode(run_dir, tmp_path,
+                                                   capsys):
+    # --mode overrides train.mode; without it the config's mode trains
+    _, out = run_dir
+    run = tmp_path / "run"
+    shutil.copytree(out / "corpus", run / "corpus")
+    shutil.copy(out / "base.ckpt", run / "base.ckpt")
+    config_path = tmp_path / "no_kl.json"
+    config_path.write_text(json.dumps(
+        dict(CONFIG, train=dict(CONFIG["train"], mode="no_kl"))))
+    common = ["train", "--config", str(config_path), "--out", str(run)]
+    capsys.readouterr()
+    assert cli.main(common) == 0
+    assert capsys.readouterr().out.startswith("mode=no_kl ")
+    assert cli.main([*common, "--mode", "no_vmlm"]) == 0
+    assert capsys.readouterr().out.startswith("mode=no_vmlm ")
+    for mode in ("no_kl", "no_vmlm"):
+        _, meta = m.load_checkpoint(run / f"train_{mode}" / "best.ckpt")
+        assert meta["mode"] == meta["config"]["train"]["mode"] == mode
+    assert not (run / "train_full").exists()
 
 
 def test_eval_text_only_and_guided(run_dir):
@@ -269,9 +340,11 @@ def _float_first_sense(payload):
     (lambda w: w["world"]["spec"].update(sense_cluster_separation=-1.0),
      "world.spec: sense_cluster_separation must be finite and positive"),
     (lambda w: w["world"]["spec"].pop("seed"), "world.spec without ['seed']"),
+    (lambda w: w["world"].update(bogus_field=1),
+     "world: unknown keys ['bogus_field']"),
     (_float_first_sense, "world.amb_tgt is not the one world.spec generates"),
 ], ids=["image_dim_string", "negative_separation", "spec_without_seed",
-        "float_sense_id"])
+        "unknown_world_key", "float_sense_id"])
 def test_world_with_malformed_spec_or_lexicon_names_the_file_and_key(
         run_dir, tmp_path, capsys, edit, message):
     path, err = _translate_with_edited_world(run_dir, tmp_path, capsys, edit)
@@ -485,6 +558,9 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ({"eval_beam_width": 0}, "config.eval_beam_width must be positive, got 0"),
     ({"pretrain": {"max_steps": 0}}, "config.pretrain: batch_size and max_steps"),
     ({"targets": "silver"}, "targets must be pseudo or gold, got 'silver'"),
+    # unchecked, gen wrote 8-dimensional images and train failed on them
+    ({"world": {"image_dim": 8}, "model": {"image_dim": 4}},
+     "config.world.image_dim 8 != config.model.image_dim 4"),
 ])
 def test_mistyped_config_values_fail_at_load_by_key(tmp_path, capsys, raw,
                                                     message):
@@ -530,6 +606,8 @@ def test_removed_config_keys_are_rejected(tmp_path):
         ("train", "beta1"), ("train", "beta2"), ("train", "eps_adam"),
         ("train", "kl_mode"), ("train", "beam_width"),
         ("model", "visual_positional_encoding"), ("world", "caption_cue_rate"),
+        ("world", "ambiguity_rate"), ("world", "context_cue_rate"),
+        ("world", "caption_domain_fraction"), ("world", "image_noise_sigma"),
         (None, "gamma_list"), (None, "lambda_list"),
     ]
     path = tmp_path / "old.json"

@@ -61,18 +61,15 @@ def test_spec_validation():
     for bad in (
         dict(n_plain_words=0),
         dict(sent_len_min=5, sent_len_max=3),
-        dict(ambiguity_rate=1.5),
-        dict(caption_domain_fraction=0.0),
         dict(sense_cluster_separation=0.0),
-        dict(image_noise_sigma=-1.0),
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(SPEC, **bad).validate()
     # json.load accepts NaN and Infinity; each is rejected by field name
-    for field in ("sense_cluster_separation", "image_noise_sigma"):
-        for value in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=f"^{field} must be finite"):
-                dataclasses.replace(SPEC, **{field: value}).validate()
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match="^sense_cluster_separation must be finite"):
+            dataclasses.replace(SPEC, sense_cluster_separation=value).validate()
 
 
 def test_translate_token_rules(world):
@@ -84,21 +81,6 @@ def test_translate_token_rules(world):
     assert world.translate_token(cue, None) is None
     with pytest.raises(ValueError):
         world.translate_token(amb, None)
-
-
-def test_caption_sublexicon_takes_leading_fraction(world):
-    spec = dataclasses.replace(world.spec, caption_domain_fraction=0.5)
-    small = dataclasses.replace(world, spec=spec)
-    assert small.caption_plain_src == world.plain_src[:2]
-    assert world.caption_plain_src == world.plain_src
-
-
-def test_noise_free_image_is_the_centroid(world):
-    spec = dataclasses.replace(world.spec, image_noise_sigma=0.0)
-    quiet = dataclasses.replace(world, spec=spec)
-    amb = world.amb_src[0]
-    img = quiet.sample_image(amb, 1, np.random.default_rng(0))
-    assert np.array_equal(img, quiet.centroid(amb, 1))
 
 
 def test_image_noise_scales_inversely_with_separation(world):
@@ -123,6 +105,19 @@ def test_split_sizes_are_honored(splits):
     assert len(splits.val_translation) == 4
     assert len(splits.test_contrastive) == 6
     assert len(splits.test_translation) == 6
+
+
+def test_split_table_names_every_split_once_in_order(splits, tmp_path):
+    names = [f.name for f in dataclasses.fields(sc.Splits)]
+    assert list(sc.SPLITS) == names
+    assert [f.name for f in dataclasses.fields(sc.SplitSizes)] == names
+    assert len({split.tag for split in sc.SPLITS.values()}) == len(names)
+    # each split's reader reads back what its writer wrote
+    for name, split in sc.SPLITS.items():
+        path, again = tmp_path / f"{name}.jsonl", tmp_path / "again.jsonl"
+        split.write(path, getattr(splits, name))
+        split.write(again, split.read(path))
+        assert again.read_bytes() == path.read_bytes(), name
 
 
 def test_generation_is_deterministic(world):
@@ -405,6 +400,10 @@ MALFORMED_WORLDS = {
         "world.spec: sense_cluster_separation must be finite and positive"),
     "spec_without_seed": (lambda w: w["spec"].pop("seed"),
                           "world.spec without ['seed']"),
+    "removed_spec_key": (lambda w: w["spec"].update(image_noise_sigma=0.2),
+                         "world.spec: unknown keys ['image_noise_sigma']"),
+    "unknown_world_key": (lambda w: w.update(bogus_field=1),
+                          "world: unknown keys ['bogus_field']"),
     "float_sense_id": (_bump_first_sense,
                        "world.amb_tgt is not the one world.spec generates"),
 }
@@ -413,8 +412,9 @@ MALFORMED_WORLDS = {
 @pytest.mark.parametrize("name", MALFORMED_WORLDS)
 def test_world_with_malformed_spec_or_lexicon_fails_by_key(world, name):
     # a string image_dim, a spec WorldSpec.validate rejects, a spec without
-    # its seed (which must not fall back to 0) and an id 7.9 (which must not
-    # read as 7)
+    # its seed (which must not fall back to 0), a spec key of a setting that
+    # became a constant, a field world_to_dict never writes and an id 7.9
+    # (which must not read as 7)
     edit, message = MALFORMED_WORLDS[name]
     payload = json.loads(json.dumps(sc.world_to_dict(world)))
     edit(payload)
