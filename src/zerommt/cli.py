@@ -131,6 +131,18 @@ def _load_model(path: Path) -> m.ModelParams:
     return params
 
 
+def _adapted_ckpt(config: RunConfig, out: Path) -> Path:
+    """The checkpoint ``train`` writes for the config's ``train.mode``."""
+    return out / f"train_{config.train.mode}" / "best.ckpt"
+
+
+def _ckpt_field(ckpt: Path, out: Path) -> str:
+    """How a report names the checkpoint it measured: relative to the run
+    directory ``out`` when it lies inside, else as an absolute path."""
+    ckpt, out = ckpt.resolve(), out.resolve()
+    return str(ckpt.relative_to(out) if ckpt.is_relative_to(out) else ckpt)
+
+
 def _train_data(out: Path, config: RunConfig,
                 model_config: m.ModelConfig) -> tr.TrainData:
     suffix = "_pseudo" if config.targets == "pseudo" else ""
@@ -251,8 +263,10 @@ def cmd_eval(
     if text_only and ckpt is not None:
         raise ValueError("--ckpt does not apply to eval --text-only "
                          f"(it evaluates {out / 'base.ckpt'})")
-    params = _load_model(out / "base.ckpt" if text_only
-                         else (ckpt or out / "train_full" / "best.ckpt"))
+    ckpt = (out / "base.ckpt" if text_only
+            else ckpt or _adapted_ckpt(config, out))
+    params = _load_model(ckpt)
+    measured = _ckpt_field(ckpt, out)
     world = _load_world(out)
     instances = _load_split(out, "test_contrastive", params.config)
     words = _ambiguous_words(world, instances,
@@ -275,6 +289,7 @@ def cmd_eval(
     run_dir.mkdir(parents=True, exist_ok=True)
     payload = _meta(
         config,
+        ckpt=measured,
         gamma=gamma,
         text_only=text_only,
         contrastive_accuracy=report.contrastive_accuracy,
@@ -287,7 +302,7 @@ def cmd_eval(
     )
     _write_json(run_dir / "eval_report.json", payload)
     _write_csv(run_dir / "eval_rows.csv", report.rows_csv(), config,
-               gamma=gamma, text_only=text_only)
+               ckpt=measured, gamma=gamma, text_only=text_only)
     print(
         f"contrastive {report.contrastive_accuracy:.1f} "
         f"(no CFG {plain_acc:.1f}), BLEU {bleu:.2f}, "
@@ -310,8 +325,9 @@ def cmd_sweep(
         raise ValueError("--ckpt does not apply to sweep --param lambda "
                          f"(it adapts {out / 'base.ckpt'})")
     # the gamma sweep blends the adapted model; the lambda sweep adapts the base
-    params = _load_model((ckpt or out / "train_full" / "best.ckpt")
-                         if param == "gamma" else out / "base.ckpt")
+    ckpt = ((ckpt or _adapted_ckpt(config, out)) if param == "gamma"
+            else out / "base.ckpt")
+    params = _load_model(ckpt)
     instances = _load_split(out, "test_contrastive", params.config)
     translation = _load_split(out, "test_translation", params.config)
     width, space = config.eval_beam_width, config.cfg_space
@@ -338,13 +354,17 @@ def cmd_sweep(
     for value, acc, bleu_score in rows:
         lines.append(f"{value!r},{acc!r},{bleu_score!r}")
     _write_csv(run_dir / "sweep.csv", "\n".join(lines) + "\n", config,
-               param=param, values=values)
+               ckpt=_ckpt_field(ckpt, out), param=param, values=values)
     for value, acc, bleu_score in rows:
         print(f"{param}={value:g}: contrastive {acc:.1f}, BLEU {bleu_score:.2f}")
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+CKPT_HELP = ("adapted checkpoint to evaluate (default: "
+             "<out>/train_<train.mode>/best.ckpt)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p_eval)
-    p_eval.add_argument("--ckpt", type=str, default=None)
+    p_eval.add_argument("--ckpt", type=str, default=None, help=CKPT_HELP)
     p_eval.add_argument("--gamma", type=float, default=1.0)
     p_eval.add_argument("--text-only", action="store_true",
                         help="evaluate the frozen base instead")
@@ -382,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", type=str, default=None,
                          help="comma-separated grid (default: the built-in "
                               "gamma or lambda grid)")
-    p_sweep.add_argument("--ckpt", type=str, default=None)
+    p_sweep.add_argument("--ckpt", type=str, default=None, help=CKPT_HELP)
 
     return parser
 

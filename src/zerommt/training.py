@@ -134,10 +134,15 @@ def adam_step(
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1**t)
-        v_hat = state.v[name] / (1 - b2**t)
+        # the moments belong to the state alone, so they update in place
+        # (the same roundings as b1 * m + (1 - b1) * g); the weights rebind
+        mt, vt = state.m[name], state.v[name]
+        mt *= b1
+        mt += (1 - b1) * g
+        vt *= b2
+        vt += (1 - b2) * g * g
+        m_hat = mt / (1 - b1**t)
+        v_hat = vt / (1 - b2**t)
         tensor = params.tensors[name]
         tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + EPS_ADAM)
 

@@ -2,7 +2,8 @@
 
 Each check prints one PASS/FAIL line with its measured numbers, bypassing
 pytest's output capture, then asserts. The pipeline (corpus, frozen base,
-pseudo-translation, four adaptation runs) is built once per session.
+pseudo-translation, four adaptation runs, evaluations) runs once through
+the CLI stages (``acceptance_run.run``), which leave the run directory.
 
 Known limitation, kept honest rather than tuned away: dropping the
 divergence anchor does not measurably hurt translation quality in this
@@ -12,16 +13,14 @@ a perfect gate for leaving unmasked translation behavior alone. The
 corresponding quality-gap check is marked as an expected failure.
 """
 
-import dataclasses
-import hashlib
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from zerommt import autodiff as ad
+from zerommt import cli
 from zerommt import decoding as dec
 from zerommt import evaluation as ev
 from zerommt import model as m
@@ -29,20 +28,13 @@ from zerommt import objectives as obj
 from zerommt import synthcorpus as sc
 from zerommt import training as tr
 
+import acceptance_run as ar
+from acceptance_run import (CHANCE_BAND, FULL_MIN_ACC, GAMMA_GRID,
+                            MAX_ACC_DROP, MAX_BLEU_DROP, MAX_GUIDANCE_DIP,
+                            MIN_GUIDANCE_GAIN)
 from oracles import summed_terms
 
-WORLD_SPEC = sc.WorldSpec(sense_cluster_separation=2.0)
-TRAIN_KWARGS = dict(lr=3e-3, max_steps=600, eval_every=100)
-GAMMA_GRID = [1.0, 1.5, 2.0, 3.0]
 BEAM_WIDTH = 4
-
-# the thresholds of the checks below, which scripts/seed_spread.py reads too
-FULL_MIN_ACC = 65.0  # full's contrastive accuracy
-MAX_BLEU_DROP = 2.0  # full's translation BLEU below the base's
-CHANCE_BAND = (45.0, 55.0)  # no_vmlm's contrastive accuracy
-MAX_ACC_DROP = 2.0  # no_kl's contrastive accuracy below full's
-MIN_GUIDANCE_GAIN = 2.0  # accuracy at gamma=2 over gamma=1
-MAX_GUIDANCE_DIP = 1.0  # worst accuracy dip between neighbouring gammas
 
 
 @pytest.fixture(scope="module")
@@ -61,70 +53,23 @@ def report(request):
 
 
 @pytest.fixture(scope="module")
-def pipeline():
-    world = sc.generate_world(dataclasses.replace(WORLD_SPEC), vocab_budget=64)
-    splits = sc.generate_splits(world, sc.SplitSizes())
-    t0 = time.time()
-    base = tr.pretrain_base(
-        splits.pretrain_parallel, m.ModelConfig(), tr.PretrainConfig()
-    )
-    pretrain_seconds = time.time() - t0
-    base_hash = hashlib.sha256(base.base_bytes()).hexdigest()
-    pseudo, pseudo_report = sc.pseudo_translate(
-        base, splits.mmt_train, world, width=BEAM_WIDTH
-    )
-    data = tr.TrainData(
-        mmt_train=pseudo,
-        val_contrastive=splits.val_contrastive,
-        val_translation=splits.val_translation,
-    )
-    return SimpleNamespace(
-        world=world,
-        splits=splits,
-        base=base,
-        base_hash=base_hash,
-        pseudo_report=pseudo_report,
-        data=data,
-        pretrain_seconds=pretrain_seconds,
-    )
+def numbers(tmp_path_factory):
+    """The acceptance run's numbers, and its run directory as ``out``."""
+    out = tmp_path_factory.mktemp("acceptance")
+    return dict(ar.run(out, seed=0), out=out)
+
+
+def _split(out, name, suffix=""):
+    return sc.SPLITS[name].read(out / "corpus" / f"{name}{suffix}.jsonl")
 
 
 @pytest.fixture(scope="module")
-def runs(pipeline):
-    t0 = time.time()
-    results = {}
-    for mode in tr.TRAIN_MODES:
-        config = tr.TrainConfig(mode=mode, **TRAIN_KWARGS)
-        results[mode] = tr.train(config, pipeline.data, pipeline.base)
-    return results, time.time() - t0
-
-
-@pytest.fixture(scope="module")
-def ablation(pipeline, runs):
-    """Held-out test-set metrics for the frozen base and every mode."""
-    results, train_seconds = runs
-    test_c = pipeline.splits.test_contrastive
-    test_t = pipeline.splits.test_translation
-    models = {"base": (pipeline.base, 0.0)}
-    models.update((mode, (result.params, 1.0))
-                  for mode, result in results.items())
-    metrics = {
-        name: (
-            ev.commute_accuracy(ev.make_scorer(params, gamma), test_c),
-            ev.translation_bleu(params, test_t, gamma, width=BEAM_WIDTH),
-        )
-        for name, (params, gamma) in models.items()
-    }
-    return metrics, train_seconds
-
-
-@pytest.fixture(scope="module")
-def provenance(pipeline, runs):
+def provenance(numbers):
     """Base hash and selected steps, so a report line from one machine can
     be matched against one from another."""
-    results, _ = runs
-    steps = " ".join(f"{mode}={r.best.step}" for mode, r in results.items())
-    return f"[base sha256 {pipeline.base_hash[:12]}, selected steps {steps}]"
+    steps = " ".join(f"{mode}={numbers[mode + '_step']}"
+                     for mode in tr.TRAIN_MODES)
+    return f"[base sha256 {numbers['base_sha'][:12]}, selected steps {steps}]"
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +154,13 @@ def test_gradients_match_finite_differences(report):
 # exact identities of the divergence term and the guidance blend
 
 
-def test_exact_identities(pipeline, runs, report):
-    results, _ = runs
-    full = results["full"].params
-    base = pipeline.base
+def test_exact_identities(numbers, report):
+    out = numbers["out"]
+    full = cli._load_model(out / "train_full" / "best.ckpt")
+    base = cli._load_model(out / "base.ckpt")
 
     # self-divergence: anchoring the adapted model to its own distributions
-    ex = pipeline.data.mmt_train[0]
+    ex = _split(out, "mmt_train", "_pseudo")[0]
     bex = obj.BatchExample(src=ex.src, tgt=ex.tgt, image=ex.image)
     enc = m.encode(ex.src, ex.image, full)
     ids = np.asarray([ex.tgt[:-1]], dtype=np.int64)
@@ -226,7 +171,7 @@ def test_exact_identities(pipeline, runs, report):
     kl_self = abs(obj.kl_penalty(obj.Batch([bex]), full, base_lp=[own_lp]).data)
 
     # blend endpoints and normalization, on real model distributions
-    inst = pipeline.splits.test_contrastive[0]
+    inst = _split(out, "test_contrastive")[0]
     pt = ev.TextOnlyScorer(base).distributions(
         [inst.src], [inst.img_a], [inst.tgt_a])[0]
     pm = ev.MultimodalScorer(full).distributions(
@@ -261,24 +206,25 @@ def test_exact_identities(pipeline, runs, report):
 # freezing: the base is byte-identical after all adaptation runs
 
 
-def test_base_bytes_unchanged_by_training(pipeline, runs, report):
-    results, _ = runs
-    after = hashlib.sha256(pipeline.base.base_bytes()).hexdigest()
+def test_base_bytes_unchanged_by_training(numbers, report):
+    out = numbers["out"]
+    base_hash = numbers["base_sha"]  # read right after pretraining
+    after = ar.base_sha(out / "base.ckpt")
     run_hashes = {
-        mode: hashlib.sha256(result.params.base_bytes()).hexdigest()
-        for mode, result in results.items()
+        mode: ar.base_sha(out / f"train_{mode}" / "best.ckpt")
+        for mode in tr.TRAIN_MODES
     }
-    ok = after == pipeline.base_hash and all(
-        h == pipeline.base_hash for h in run_hashes.values()
+    ok = after == base_hash and all(
+        h == base_hash for h in run_hashes.values()
     )
     report(
         "freezing", ok,
-        f"base sha256 {pipeline.base_hash[:12]} unchanged across "
+        f"base sha256 {base_hash[:12]} unchanged across "
         f"{len(run_hashes)} adaptation runs",
     )
-    assert after == pipeline.base_hash
+    assert after == base_hash
     for mode, h in run_hashes.items():
-        assert h == pipeline.base_hash, mode
+        assert h == base_hash, mode
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +232,17 @@ def test_base_bytes_unchanged_by_training(pipeline, runs, report):
 # unambiguous translation, balanced sense split
 
 
-def test_base_model_behavior(pipeline, report):
+def test_base_model_behavior(numbers, report):
+    out = numbers["out"]
+    base = cli._load_model(out / "base.ckpt")
+    test_c = _split(out, "test_contrastive")
     t0 = time.time()
-    scorer = ev.TextOnlyScorer(pipeline.base)
-    base_report = ev.evaluate_contrastive(scorer, pipeline.splits.test_contrastive)
+    scorer = ev.TextOnlyScorer(base)
+    base_report = ev.evaluate_contrastive(scorer, test_c)
 
     matched = total = 0
-    for ex in pipeline.splits.test_translation:
-        hyp = dec.beam_search(pipeline.base, ex.src, image=None,
+    for ex in _split(out, "test_translation"):
+        hyp = dec.beam_search(base, ex.src, image=None,
                               width=BEAM_WIDTH)
         ref = ex.tgt[1:-1]
         total += len(ref)
@@ -303,7 +252,7 @@ def test_base_model_behavior(pipeline, report):
     # sense balance on uncued ambiguous sources: the probability mass the
     # base puts on its preferred sense, averaged over the held-out set
     shares = []
-    for inst in pipeline.splits.test_contrastive:
+    for inst in test_c:
         dists = scorer.distributions([inst.src], [None], [inst.tgt_a])[0]
         j = next(
             k for k, (a, b) in enumerate(zip(inst.tgt_a[1:], inst.tgt_b[1:]))
@@ -338,10 +287,9 @@ def test_base_model_behavior(pipeline, report):
 # ablations
 
 
-def test_ablation_full_learns_disambiguation(ablation, report, provenance):
-    metrics, _ = ablation
-    acc, bleu = metrics["full"]
-    _, base_bleu = metrics["base"]
+def test_ablation_full_learns_disambiguation(numbers, report, provenance):
+    acc, bleu = numbers["full_acc"], numbers["full_bleu"]
+    base_bleu = numbers["base_bleu"]
     ok = acc >= FULL_MIN_ACC and bleu >= base_bleu - MAX_BLEU_DROP
     report(
         "ablation-full", ok,
@@ -353,9 +301,8 @@ def test_ablation_full_learns_disambiguation(ablation, report, provenance):
     assert bleu >= base_bleu - MAX_BLEU_DROP
 
 
-def test_ablation_without_masked_loss_stays_at_chance(ablation, report, provenance):
-    metrics, _ = ablation
-    acc, _ = metrics["no_vmlm"]
+def test_ablation_without_masked_loss_stays_at_chance(numbers, report, provenance):
+    acc = numbers["no_vmlm_acc"]
     lo, hi = CHANCE_BAND
     ok = lo <= acc <= hi
     report(
@@ -365,10 +312,8 @@ def test_ablation_without_masked_loss_stays_at_chance(ablation, report, provenan
     assert lo <= acc <= hi
 
 
-def test_ablation_without_anchor_keeps_disambiguation(ablation, report, provenance):
-    metrics, _ = ablation
-    acc, _ = metrics["no_kl"]
-    full_acc, _ = metrics["full"]
+def test_ablation_without_anchor_keeps_disambiguation(numbers, report, provenance):
+    acc, full_acc = numbers["no_kl_acc"], numbers["full_acc"]
     ok = acc >= full_acc - MAX_ACC_DROP
     report(
         "ablation-no-anchor-accuracy", ok,
@@ -386,10 +331,8 @@ def test_ablation_without_anchor_keeps_disambiguation(ablation, report, provenan
         "unanchored model never drifts on unambiguous text"
     ),
 )
-def test_ablation_without_anchor_degrades_translation(ablation, report, provenance):
-    metrics, _ = ablation
-    _, bleu = metrics["no_kl"]
-    _, full_bleu = metrics["full"]
+def test_ablation_without_anchor_degrades_translation(numbers, report, provenance):
+    bleu, full_bleu = numbers["no_kl_bleu"], numbers["full_bleu"]
     ok = bleu <= full_bleu - 10.0
     report(
         "ablation-no-anchor-quality-gap", ok,
@@ -399,10 +342,8 @@ def test_ablation_without_anchor_degrades_translation(ablation, report, provenan
     assert bleu <= full_bleu - 10.0
 
 
-def test_ablation_supervised_replacement_is_no_better(ablation, report, provenance):
-    metrics, _ = ablation
-    acc, _ = metrics["mmt_no_kl"]
-    full_acc, _ = metrics["full"]
+def test_ablation_supervised_replacement_is_no_better(numbers, report, provenance):
+    acc, full_acc = numbers["mmt_no_kl_acc"], numbers["full_acc"]
     ok = acc <= full_acc
     report(
         "ablation-supervised-replacement", ok,
@@ -411,8 +352,8 @@ def test_ablation_supervised_replacement_is_no_better(ablation, report, provenan
     assert acc <= full_acc
 
 
-def test_ablation_runtime_budget(ablation, report):
-    _, train_seconds = ablation
+def test_ablation_runtime_budget(numbers, report):
+    train_seconds = numbers["train_seconds"]
     ok = train_seconds < 1800.0
     report(
         "ablation-runtime", ok,
@@ -425,16 +366,9 @@ def test_ablation_runtime_budget(ablation, report):
 # guidance sweep
 
 
-def test_guidance_sweep(pipeline, runs, report, provenance):
-    results, _ = runs
-    full = results["full"].params
-    test_c = pipeline.splits.test_contrastive
-    test_t = pipeline.splits.test_translation
-    accs, bleus = {}, {}
-    for gamma in GAMMA_GRID:
-        accs[gamma] = ev.commute_accuracy(ev.make_scorer(full, gamma), test_c)
-        bleus[gamma] = ev.translation_bleu(full, test_t, gamma,
-                                           width=BEAM_WIDTH)
+def test_guidance_sweep(numbers, report, provenance):
+    accs = {g: numbers[f"acc_g{g:g}"] for g in GAMMA_GRID}
+    bleus = {g: numbers[f"bleu_g{g:g}"] for g in GAMMA_GRID}
 
     gain = accs[2.0] - accs[1.0]
     steps = list(zip(GAMMA_GRID, GAMMA_GRID[1:]))
@@ -601,12 +535,12 @@ def test_perplexity_matches_scalar_oracle(report):
 # determinism: same configuration and seed, byte-identical artifacts
 
 
-def test_determinism(pipeline, tmp_path, report):
+def test_determinism(numbers, tmp_path, report):
     # corpus files
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     a_dir.mkdir(), b_dir.mkdir()
     for d in (a_dir, b_dir):
-        world = sc.generate_world(dataclasses.replace(WORLD_SPEC))
+        world = sc.generate_world(sc.WorldSpec(**ar.CONFIG["world"]))
         splits = sc.generate_splits(
             world, sc.SplitSizes(pretrain_parallel=50, mmt_train=20)
         )
@@ -617,22 +551,28 @@ def test_determinism(pipeline, tmp_path, report):
         for n in ("mmt_train.jsonl", "test.jsonl")
     )
 
-    # training log and evaluation report, two short identical runs
+    # training log and evaluation report, two short identical runs on the
+    # acceptance run's data and base
+    out = numbers["out"]
+    base = cli._load_model(out / "base.ckpt")
+    data = tr.TrainData(_split(out, "mmt_train", "_pseudo"),
+                        _split(out, "val_contrastive"),
+                        _split(out, "val_translation"))
     config = tr.TrainConfig(lr=3e-3, max_steps=40, eval_every=20, mode="full")
-    first = tr.train(config, pipeline.data, pipeline.base)
+    first = tr.train(config, data, base)
     second = tr.train(
         tr.TrainConfig(lr=3e-3, max_steps=40, eval_every=20, mode="full"),
-        pipeline.data, pipeline.base,
+        data, base,
     )
     csv_same = (
         tr.log_rows_to_csv(first.log_rows).encode()
         == tr.log_rows_to_csv(second.log_rows).encode()
     )
     eval_a = ev.evaluate_contrastive(
-        ev.MultimodalScorer(first.params), pipeline.splits.val_contrastive
+        ev.MultimodalScorer(first.params), data.val_contrastive
     )
     eval_b = ev.evaluate_contrastive(
-        ev.MultimodalScorer(second.params), pipeline.splits.val_contrastive
+        ev.MultimodalScorer(second.params), data.val_contrastive
     )
     eval_same = (
         eval_a.rows_csv() == eval_b.rows_csv()

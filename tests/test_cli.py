@@ -205,6 +205,57 @@ def test_train_without_mode_trains_the_configs_mode(run_dir, tmp_path,
     assert not (run / "train_full").exists()
 
 
+def test_eval_and_sweep_read_the_configs_mode_by_default(run_dir, tmp_path):
+    # with train.mode no_kl and no --ckpt, both read train_no_kl/best.ckpt
+    _, out = run_dir
+    run = tmp_path / "run"
+    shutil.copytree(out / "corpus", run / "corpus")
+    shutil.copy(out / "base.ckpt", run / "base.ckpt")
+    config_path = tmp_path / "no_kl.json"
+    config_path.write_text(json.dumps(
+        dict(CONFIG, train=dict(CONFIG["train"], mode="no_kl"))))
+    common = ["--config", str(config_path), "--out", str(run)]
+    assert cli.main(["train", *common]) == 0
+    assert cli.main(["eval", *common, "--gamma", "2.0"]) == 0
+    assert cli.main(["sweep", *common, "--param", "gamma",
+                     "--values", "1.0"]) == 0
+    want = "train_no_kl/best.ckpt"
+    for report in ("eval_gamma2/eval_report.json",
+                   "sweep_gamma/sweep.csv.meta.json"):
+        assert json.loads((run / report).read_text())["ckpt"] == want, report
+
+
+@pytest.mark.parametrize("stage_args,ckpt,reports", [
+    (["eval", "--text-only"], "base.ckpt",
+     ["eval_base/eval_report.json", "eval_base/eval_rows.csv.meta.json"]),
+    (["eval", "--gamma", "2.0"], "train_full/best.ckpt",
+     ["eval_gamma2/eval_report.json", "eval_gamma2/eval_rows.csv.meta.json"]),
+    (["eval", "--gamma", "2.0", "--ckpt", "{other}"], "{other}",
+     ["eval_gamma2/eval_report.json"]),
+    (["sweep", "--param", "gamma", "--values", "1.0"], "train_full/best.ckpt",
+     ["sweep_gamma/sweep.csv.meta.json"]),
+    (["sweep", "--param", "gamma", "--values", "1.0", "--ckpt", "{other}"],
+     "{other}", ["sweep_gamma/sweep.csv.meta.json"]),
+    (["sweep", "--param", "lambda", "--values", "1.0"], "base.ckpt",
+     ["sweep_lambda/sweep.csv.meta.json"]),
+], ids=["eval_text_only", "eval", "eval_ckpt", "sweep_gamma",
+        "sweep_gamma_ckpt", "sweep_lambda"])
+def test_reports_name_the_checkpoint_they_measured(run_dir, tmp_path,
+                                                   stage_args, ckpt, reports):
+    config_path, out = run_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    other = tmp_path / "other.ckpt"
+    shutil.copy(out / "train_full" / "best.ckpt", other)
+    args = [a.format(other=other) for a in stage_args]
+    assert cli.main([args[0], "--config", str(config_path), "--out", str(run),
+                     *args[1:]]) == 0
+    # relative to the run directory when inside it, else absolute
+    want = ckpt.format(other=other.resolve())
+    for report in reports:
+        assert json.loads((run / report).read_text())["ckpt"] == want, report
+
+
 def test_eval_text_only_and_guided(run_dir):
     config_path, out = run_dir
     assert cli.main(["eval", "--config", str(config_path), "--out", str(out),

@@ -1,6 +1,7 @@
 """The verdicts of ``scripts/seed_spread.py`` on fixed numbers: each check
-judges by the threshold constants of ``tests/test_acceptance.py`` (the
-measurement itself takes minutes per seed, so it is not run here)."""
+judges by the threshold constants of ``tests/acceptance_run.py`` (the
+measurement itself takes minutes per seed, so it runs here only at the
+CLI tests' toy configuration)."""
 
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 import seed_spread as ss  # noqa: E402
+from test_cli import CONFIG as TOY_CONFIG  # noqa: E402
 
 # every number exactly at its check's threshold
 AT_THRESHOLDS = {
@@ -34,7 +36,22 @@ def test_each_check_passes_at_its_threshold():
 ])
 def test_checks_read_the_acceptance_thresholds(monkeypatch, name, tighter,
                                                label):
-    # tightening one constant of test_acceptance fails exactly its check
-    monkeypatch.setattr(ss.acc, name, tighter)
+    # tightening one constant of acceptance_run fails exactly its check
+    monkeypatch.setattr(ss.ar, name, tighter)
     failed = [lab for lab, _, ok in ss.checks(AT_THRESHOLDS) if not ok]
     assert failed == [label]
+
+
+def test_measure_runs_the_acceptance_stages_and_tabulates(monkeypatch,
+                                                          capsys):
+    # the acceptance run at the toy size, with the replacement arm
+    monkeypatch.setattr(ss.ar, "CONFIG", TOY_CONFIG)
+    r = ss.measure(0, replacement_lam=0.1)
+    assert r["rows"] == 2 * TOY_CONFIG["sizes"]["test_contrastive"]
+    assert r["replacement_lam"] == 0.1 and len(r["base_sha"]) == 8
+    assert len(ss.checks(r)) == 8
+    lines = ss.table([r]).splitlines()
+    assert lines[2].startswith(f"| 0 | {r['base_sha']} | ")
+    # the stages' own lines go to stderr, not into the table's stdout
+    captured = capsys.readouterr()
+    assert captured.out == "" and "mode=mmt_no_kl" in captured.err

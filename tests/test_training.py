@@ -59,6 +59,36 @@ def test_adam_matches_scalar_oracle(tiny_config):
     assert state.step == 3
 
 
+def test_adam_equals_the_out_of_place_recursion_byte_for_byte(tiny_params):
+    """Moments updated in place round as ``b1 * m + (1 - b1) * g`` does:
+    300 steps of random gradients over every trainable tensor of the tiny
+    model (some steps leave a tensor out), compared byte for byte."""
+    b1, b2, lr = tr.BETA1, tr.BETA2, 3e-3
+    want = {n: tiny_params.tensors[n].data.copy()
+            for n in tiny_params.trainable_names()}
+    mm = {n: np.zeros_like(w) for n, w in want.items()}
+    vv = {n: np.zeros_like(w) for n, w in want.items()}
+    steps = dict.fromkeys(want, 0)
+    state = AdamState()
+    rng = np.random.default_rng(11)
+    for t in range(1, 301):
+        grads = {n: rng.standard_normal(w.shape) * 10.0 ** rng.integers(-6, 3)
+                 for n, w in want.items() if rng.random() < 0.9}
+        tr.adam_step(tiny_params, grads, state, lr)
+        for n, g in grads.items():
+            mm[n] = b1 * mm[n] + (1 - b1) * g
+            vv[n] = b2 * vv[n] + (1 - b2) * g * g
+            m_hat = mm[n] / (1 - b1**t)
+            v_hat = vv[n] / (1 - b2**t)
+            want[n] = want[n] - lr * m_hat / (np.sqrt(v_hat) + tr.EPS_ADAM)
+            steps[n] += 1
+    assert min(steps.values()) < 300
+    for n, w in want.items():
+        assert tiny_params.tensors[n].data.tobytes() == w.tobytes(), n
+        assert state.m[n].tobytes() == mm[n].tobytes(), n
+        assert state.v[n].tobytes() == vv[n].tobytes(), n
+
+
 def test_adam_rejects_gradient_for_frozen_tensor(tiny_config):
     params = _scalar_params(tiny_config, trainable=False)
     with pytest.raises(FreezingViolation):
